@@ -24,9 +24,9 @@
 // The HI checker rejects it on exactly these fields; Algorithm 5 passes the
 // same workloads.
 //
-// Packing limits (both backends, for bit-exact sim↔rt parity of the decoded
-// fields): encoded abstract states ≤ 32 bits, versions and per-process
-// sequence numbers ≤ 24 bits, responses ≤ 32 bits, ≤ 64 processes.
+// Packing limits (every backend, for bit-exact sim↔rt parity): encoded
+// abstract states ≤ 32 bits, versions and per-process sequence numbers
+// ≤ 24 bits, responses ≤ 32 bits, ≤ 64 processes.
 //
 // The body spawns no helper coroutines — apply() forwards to the
 // apply_read_only/apply_update Op without an extra frame, and the retry
@@ -47,34 +47,13 @@
 namespace hi::algo {
 
 /// Packing of the head tuple ⟨state, version, record⟩ into the environment's
-/// CAS word. `record` is the last applied operation's ⟨pid, seq, rsp⟩
-/// (pid bits 56–61, seq bits 32–55, rsp bits 0–31; 0 before any operation).
-/// The simulator's two-word value carries ⟨state|version, record⟩ in
-/// ⟨lo, hi⟩ with the context word unused; the hardware word carries
-/// state|version in the value half and the record in the context half of
-/// the same 16-byte CAS word.
-template <typename W>
-struct FkHeadCodec;
-
-template <>
-struct FkHeadCodec<CtxWord<RllscValue>> {
-  using W = CtxWord<RllscValue>;
-
-  static RllscValue initial(std::uint64_t state) { return RllscValue{state, 0}; }
-  static W make(std::uint64_t state, std::uint64_t version,
-                std::uint64_t record) {
-    return W{{state | (version << 32), record}, 0};
-  }
-  static std::uint64_t state(const W& w) { return w.value.lo & 0xffffffffu; }
-  static std::uint64_t version(const W& w) { return w.value.lo >> 32; }
-  static std::uint64_t record(const W& w) { return w.value.hi; }
-};
-
-template <>
-struct FkHeadCodec<CtxWord<std::uint64_t>> {
+/// 16-byte CAS word, on every backend: state|version in the value half and
+/// the record in the context half. `record` is the last applied operation's
+/// ⟨pid, seq, rsp⟩ (pid bits 56–61, seq bits 32–55, rsp bits 0–31; 0 before
+/// any operation).
+struct FkHeadCodec {
   using W = CtxWord<std::uint64_t>;
 
-  static std::uint64_t initial(std::uint64_t state) { return state; }
   static W make(std::uint64_t state, std::uint64_t version,
                 std::uint64_t record) {
     return W{state | (version << 32), record};
@@ -90,7 +69,7 @@ class LeakyUniversalAlg {
   using Op = typename S::Op;
   using Resp = typename S::Resp;
   using Word = typename Env::Word;
-  using Codec = FkHeadCodec<Word>;
+  using Codec = FkHeadCodec;
   template <typename T>
   using OpT = typename Env::template Op<T>;
 
@@ -99,7 +78,7 @@ class LeakyUniversalAlg {
         n_(num_processes),
         head_(Env::make_cas(
             ctx, "fk-head",
-            Codec::initial(spec.encode_state(spec.initial_state())))),
+            spec.encode_state(spec.initial_state()))),
         announce_(Env::make_word_array(ctx, "fk-announce",
                                       static_cast<std::uint32_t>(num_processes),
                                       0)),

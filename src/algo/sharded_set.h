@@ -1,9 +1,8 @@
 // Sharded perfect-HI set: a domain of millions of keys striped over N
 // independent multi-word §5.1 sets (algo/hi_set.h) behind one linearizable
 // facade. Written ONCE over an execution environment Env (src/env/env.h)
-// and instantiated by the simulator (src/core/sharded_set.h), by real
-// hardware (src/rt/sharded_set_rt.h) and by the schedule-replay backend
-// (src/replay/replay_objects.h).
+// and instantiated by the simulator (src/core/sharded_set.h) and by real
+// hardware (src/rt/sharded_set_rt.h).
 //
 // Why the composition is linearizable: the shard map is a PURE FUNCTION of
 // the key — shard_of(k) and local_of(k) depend only on (k, domain, shard

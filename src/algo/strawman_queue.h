@@ -1,9 +1,9 @@
 // Strawman "state-quiescent HI queue with Peek" from binary registers — the
 // candidate that Theorem 20 (§5.4 / Appendix C) dooms — written ONCE over an
 // execution environment Env (src/env/env.h) and instantiated by the
-// simulator (src/baseline/strawman_queue.h) and by the schedule-replay
-// backend (env/replay_env.h), so the Theorem 20 adversary's starvation
-// schedules replay over hardware atomics (tests/test_replay_adversary.cpp).
+// simulator (src/baseline/strawman_queue.h), whose cells step the hardware
+// atomics, so the Theorem 20 adversary's starvation schedules run over the
+// rt/cells.h bodies (tests/test_impossibility.cpp pins one as a trace).
 //
 // Single-mutator queue over domain {1..t} with a front indicator kept in a
 // one-hot binary array F (slot v+1 ⇔ front element v; slot 1 ⇔ empty) and

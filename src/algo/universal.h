@@ -33,12 +33,10 @@
 // The ⟨q, r⟩ head and op/resp announce encodings are shared across ALL
 // backends: Word64HeadCodec packs every head/announce tuple into one 64-bit
 // word (states ≤ 32 bits, responses ≤ 24 bits, ≤ 64 processes — the DESIGN
-// substitution documented at Atomic128), and both RllscWordCodec
-// specializations delegate to it. The simulator carries the word in
-// RllscValue::lo with hi ≡ 0, so a universal memory snapshot is bit-exact
-// across SimEnv/RtEnv/ReplayEnv — exactly like FkHeadCodec already is for
-// the leaky baseline — which is what lets the replay differentials and the
-// sim↔rt parity suite compare raw words instead of decoding semantically.
+// substitution documented at Atomic128), which is Env::Value on every
+// backend. A universal memory snapshot is therefore bit-exact across
+// SimEnv/RtEnv/FuzzEnv, which is what lets the sim↔rt parity suite compare
+// raw words instead of decoding semantically.
 //
 // Flat-combining mode (combine=true; docs/PAPER_MAP.md "Combining
 // deviation"). The announce array doubles as a combining publication list:
@@ -179,55 +177,13 @@ struct Word64HeadCodec {
   }
 };
 
-/// Per-backend adapter from Word64HeadCodec to the R-LLSC value type V.
-template <typename V>
-struct RllscWordCodec;
-
-/// Hardware / replay value word: the codec word verbatim.
-template <>
-struct RllscWordCodec<std::uint64_t> : Word64HeadCodec {};
-
-/// Simulator value: the codec word in lo, hi ≡ 0 — so a sim snapshot of a
-/// universal object is bit-identical to the rt/replay snapshot of the same
-/// configuration (this is what upgraded the universal replay rows from
-/// semantic comparison to verify::snapshot_word_compare).
-template <>
-struct RllscWordCodec<RllscValue> {
-  using W = Word64HeadCodec;
-
-  static RllscValue bottom() { return RllscValue{}; }
-  static RllscValue announce_op(std::uint32_t word) {
-    return RllscValue{W::announce_op(word), 0};
-  }
-  static RllscValue announce_resp(std::uint32_t word) {
-    return RllscValue{W::announce_resp(word), 0};
-  }
-  static bool is_bottom(const RllscValue& v) { return W::is_bottom(v.lo); }
-  static bool is_op(const RllscValue& v) { return W::is_op(v.lo); }
-  static bool is_resp(const RllscValue& v) { return W::is_resp(v.lo); }
-  static std::uint32_t payload(const RllscValue& v) {
-    return W::payload(v.lo);
-  }
-  static RllscValue make_head(std::uint64_t state_encoded,
-                              std::optional<HeadResp> resp) {
-    return RllscValue{W::make_head(state_encoded, resp), 0};
-  }
-  static RllscValue make_combining_head(std::uint64_t state_encoded,
-                                        int pid) {
-    return RllscValue{W::make_combining_head(state_encoded, pid), 0};
-  }
-  static HeadView decode_head(const RllscValue& v) {
-    return W::decode_head(v.lo);
-  }
-};
-
 template <typename Env, spec::SequentialSpec S, typename Cell>
 class UniversalAlg {
  public:
   using Op = typename S::Op;
   using Resp = typename S::Resp;
   using V = typename Env::Value;
-  using Codec = RllscWordCodec<V>;
+  using Codec = Word64HeadCodec;
   template <typename T>
   using OpT = typename Env::template Op<T>;
   template <typename T>

@@ -1,26 +1,16 @@
-// Value types shared by the algorithm layer and both execution environments.
+// Value types shared by the algorithm layer and every execution environment.
 //
 // The single-source algorithms (src/algo) are templated over an execution
 // environment Env (src/env). The R-LLSC family manipulates values of type
-// Env::Value — a 128-bit two-word payload in the simulator (room for the
-// paper's unbounded abstract states) and a packed 64-bit word on hardware
-// (the DESIGN substitution: states ≤ 32 bits so one CMPXCHG16B covers value
-// plus context). CtxWord pairs a value with the R-LLSC context bitmask; it
-// is the environment-neutral view of one CAS base-object state.
+// Env::Value — on every backend a packed 64-bit codec word (the DESIGN
+// substitution: states ≤ 32 bits so one CMPXCHG16B covers value plus
+// context). CtxWord pairs a value with the R-LLSC context bitmask; it is the
+// environment-neutral view of one CAS base-object state.
 #pragma once
 
 #include <cstdint>
 
 namespace hi::algo {
-
-/// The value carried by an R-LLSC cell (context excluded): two words, enough
-/// for Algorithm 5's ⟨state, ⟨response, process⟩⟩ head tuples.
-struct RllscValue {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-
-  friend bool operator==(const RllscValue&, const RllscValue&) = default;
-};
 
 /// One CAS base-object state as the algorithms see it: an algorithm-level
 /// value plus the context bitmask (bit i set <=> process i in context).
@@ -37,9 +27,8 @@ struct CtxWord {
 /// immediately before the CAS executed (== expected iff installed). Retry
 /// loops feed `observed` straight into the next attempt's expectation, so a
 /// failed retry costs ONE primitive instead of a CAS followed by a re-read —
-/// the hardware gets this for free (compare_exchange writes the current word
-/// back into `expected` on failure), and the simulator models it as a single
-/// atomic step of the same "cas" primitive kind.
+/// compare_exchange writes the current word back into `expected` on
+/// failure, and the simulator runs that same body as one "cas" step.
 template <typename W>
 struct CasResult {
   bool installed = false;

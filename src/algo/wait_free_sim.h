@@ -1,9 +1,9 @@
 // Wait-free simulation of a normalized lock-free algorithm — the
 // Kogan–Petrank transform (help queue + fast-path/slow-path + operation
 // records with versioned CAS), written once over the Env abstraction so the
-// SAME combinator body runs under SimEnv (exhaustive interleavings + step
-// counts), RtEnv (hardware benchmarks), ReplayEnv (schedule re-execution)
-// and FuzzEnv (real-thread yield fuzzing).
+// SAME combinator body runs under SimEnv (exhaustive interleavings, step
+// counts, schedule re-execution), RtEnv (hardware benchmarks) and FuzzEnv
+// (real-thread yield fuzzing).
 //
 // Why it exists here: the paper's Theorem 17 (and Corollary 18) prove that
 // wait-freedom and state-quiescent history independence are incompatible

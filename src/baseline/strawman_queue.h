@@ -5,10 +5,9 @@
 // Single-source: the algorithm body lives in algo/strawman_queue.h
 // (StrawmanQueueAlg), templated over the execution environment; this file
 // pins the environment to SimEnv, preserving the seed interface (spec-driven
-// apply plus pid-checked peek/enqueue/dequeue). The schedule-replay
-// instantiation of the SAME body is replay::StrawmanQueue
-// (src/replay/replay_objects.h), which is how the Theorem 20 starvation
-// schedules become hardware-atomics regression tests.
+// apply plus pid-checked peek/enqueue/dequeue). SimEnv steps the rt/cells.h
+// atomics, so the Theorem 20 starvation schedules, persisted as
+// ScheduleTrace literals, are hardware-atomics regression tests.
 #pragma once
 
 #include <cassert>
@@ -21,9 +20,8 @@
 
 namespace hi::baseline {
 
-/// Spec-driven harness wrapper, shared by the simulator (Env = SimEnv) and
-/// the schedule-replay backend (Env = ReplayEnv) so the op dispatch cannot
-/// diverge between the backends the differential replay suite compares.
+/// Spec-driven harness wrapper over the scheduler-driven backend
+/// (Env = SimEnv; the alias below pins it).
 template <typename Env>
 class BasicStrawmanQueue {
  public:

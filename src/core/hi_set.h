@@ -16,9 +16,8 @@
 
 namespace hi::core {
 
-/// Spec-driven harness wrapper, shared by the simulator (Env = SimEnv) and
-/// the schedule-replay backend (Env = ReplayEnv) so the op dispatch cannot
-/// diverge between the backends the differential replay suite compares.
+/// Spec-driven harness wrapper over the scheduler-driven backend
+/// (Env = SimEnv; the aliases below pin it).
 /// `Bins` selects the bin-array layout (padded-per-bit default preserves
 /// the paper's per-element cells; env::PackedBins makes the whole set one
 /// word whose value is the membership bitmap).

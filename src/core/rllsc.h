@@ -28,14 +28,12 @@
 
 namespace hi::core {
 
-using algo::RllscValue;
-
 /// Algorithm 6 over one atomic CAS base object (simulator instantiation).
 class CasRllsc : public algo::CasRllscAlg<env::SimEnv> {
  public:
   using Base = algo::CasRllscAlg<env::SimEnv>;
 
-  CasRllsc(sim::Memory& memory, std::string name, RllscValue initial)
+  CasRllsc(sim::Memory& memory, std::string name, std::uint64_t initial)
       : Base(memory, std::move(name), initial) {}
 
   // pid-explicit interface (used by the universal construction) inherited:
@@ -54,7 +52,7 @@ class CasRllsc : public algo::CasRllscAlg<env::SimEnv> {
     return Base::ll_interleaved(self(), std::move(poll));
   }
   auto vl() { return Base::vl(self()); }
-  auto sc(RllscValue desired) { return Base::sc(self(), desired); }
+  auto sc(std::uint64_t desired) { return Base::sc(self(), desired); }
   auto rl() { return Base::rl(self()); }
 
  private:
@@ -68,26 +66,26 @@ class CasRllsc : public algo::CasRllscAlg<env::SimEnv> {
 /// The same interface over a native (single-primitive) R-LLSC base object.
 class NativeRllsc {
  public:
-  NativeRllsc(sim::Memory& memory, std::string name, RllscValue initial)
-      : cell_(&memory.make<sim::WideRllscCell>(
-            std::move(name), sim::WideWord{initial.lo, initial.hi, 0})) {}
+  NativeRllsc(sim::Memory& memory, std::string name, std::uint64_t initial)
+      : cell_(&memory.make<sim::WideRllscCell>(std::move(name), initial)) {}
 
-  sim::SubTask<RllscValue> ll(int pid = -1) {
+  sim::SubTask<std::uint64_t> ll(int pid = -1) {
     assert_self(pid);
-    const sim::WideWord cur = co_await cell_->ll();
-    co_return RllscValue{cur.lo, cur.hi};
+    const std::uint64_t value = co_await cell_->ll();
+    co_return value;
   }
 
   /// Native LL is wait-free, so interleaving is unnecessary for progress;
   /// one poll runs first so a ready response is still honored promptly.
   /// `poll` is a nullary callable returning an awaitable of bool.
   template <typename Poll>
-  sim::SubTask<std::optional<RllscValue>> ll_interleaved(int pid, Poll poll) {
+  sim::SubTask<std::optional<std::uint64_t>> ll_interleaved(int pid,
+                                                            Poll poll) {
     assert_self(pid);
     const bool bail = co_await poll();
     if (bail) co_return std::nullopt;
-    const sim::WideWord cur = co_await cell_->ll();
-    co_return RllscValue{cur.lo, cur.hi};
+    const std::uint64_t value = co_await cell_->ll();
+    co_return value;
   }
   template <typename Poll>
   auto ll_interleaved(Poll poll) {
@@ -99,33 +97,30 @@ class NativeRllsc {
     const bool valid = co_await cell_->vl();
     co_return valid;
   }
-  sim::SubTask<bool> sc(int pid, RllscValue desired) {
+  sim::SubTask<bool> sc(int pid, std::uint64_t desired) {
     assert_self(pid);
-    const bool swapped = co_await cell_->sc(desired.lo, desired.hi);
+    const bool swapped = co_await cell_->sc(desired);
     co_return swapped;
   }
-  sim::SubTask<bool> sc(RllscValue desired) { return sc(-1, desired); }
+  sim::SubTask<bool> sc(std::uint64_t desired) { return sc(-1, desired); }
   sim::SubTask<bool> rl(int pid = -1) {
     assert_self(pid);
     co_await cell_->rl();
     co_return true;
   }
-  sim::SubTask<RllscValue> load() {
-    const sim::WideWord cur = co_await cell_->load();
-    co_return RllscValue{cur.lo, cur.hi};
+  sim::SubTask<std::uint64_t> load() {
+    const std::uint64_t value = co_await cell_->load();
+    co_return value;
   }
-  sim::SubTask<bool> store(RllscValue desired) {
-    co_await cell_->store(desired.lo, desired.hi);
+  sim::SubTask<bool> store(std::uint64_t desired) {
+    co_await cell_->store(desired);
     co_return true;
   }
 
-  RllscValue peek_value() const {
-    return RllscValue{cell_->peek().lo, cell_->peek().hi};
-  }
-  std::uint64_t peek_context() const { return cell_->peek().ctx; }
-  algo::CtxWord<RllscValue> peek_word() const {
-    const sim::WideWord w = cell_->peek();
-    return {{w.lo, w.hi}, w.ctx};
+  std::uint64_t peek_value() const { return cell_->peek_value(); }
+  std::uint64_t peek_context() const { return cell_->peek_context(); }
+  algo::CtxWord<std::uint64_t> peek_word() const {
+    return {cell_->peek_value(), cell_->peek_context()};
   }
   bool is_lock_free() const { return true; }
 

@@ -3,10 +3,9 @@
 // Single-source: the facade body lives in algo/sharded_set.h
 // (ShardedHiSet), templated over the execution environment; this file pins
 // the environment to SimEnv, preserving the spec-driven harness interface
-// so the explorer, the Runner and the replay fuzzer drive the sharded store
-// exactly like the single-shard core::HiSet. The hardware instantiation of
-// the SAME body is rt::RtShardedHiSet; the schedule-replay instantiation is
-// replay::ShardedHiSet (src/replay/replay_objects.h).
+// so the explorer and the Runner drive the sharded store exactly like the
+// single-shard core::HiSet. The hardware instantiation of the SAME body is
+// rt::RtShardedHiSet.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +18,8 @@
 
 namespace hi::core {
 
-/// Spec-driven harness wrapper, shared by the simulator (Env = SimEnv) and
-/// the schedule-replay backend (Env = ReplayEnv) so the op dispatch cannot
-/// diverge between the backends the differential replay suite compares.
+/// Spec-driven harness wrapper over the scheduler-driven backend
+/// (Env = SimEnv; the aliases below pin it).
 /// The spec supplies the domain and the initial membership bitmap (one
 /// word — spec domains are ≤ 64); shard count and placement are harness
 /// parameters, letting the same spec check every sharding configuration.

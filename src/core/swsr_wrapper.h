@@ -1,10 +1,6 @@
 // The SWSR spec/pid harness wrapper, shared by every §4-style register
-// algorithm and by both scheduler-driven environments: the simulator
-// (env::SimEnv) and the schedule-replay backend (env::ReplayEnv) both carry
-// operations as sim::OpTask, so ONE wrapper body serves core/* and
-// replay/*. Keeping it single-source means a fix to the pid checks or the
-// op dispatch cannot diverge between the backends the differential replay
-// suite compares.
+// algorithm: ONE wrapper body carries operations as sim::OpTask over the
+// scheduler-driven backend (env::SimEnv) for every core/* register.
 #pragma once
 
 #include <cassert>

@@ -6,9 +6,7 @@
 // the combinator's operation records, contention-failure streaks and
 // helped-completion accounting are all per-process, so the algorithm needs
 // to know who is running. Like the other spec harnesses it is templated
-// over Env and shared by the simulator (core aliases below) and the
-// schedule-replay backend (replay/replay_objects.h), keeping the dispatch
-// single-source for the differential suite.
+// over Env; the core aliases below pin it to SimEnv.
 #pragma once
 
 #include <cassert>

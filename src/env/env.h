@@ -27,14 +27,14 @@
 //
 // read_bit/write_bit/cas_read/cas/cas_write/read_word/write_word/cas_word
 // return AWAITABLES: in the simulator each is a sim::Primitive that suspends
-// until the scheduler grants the process its step; on hardware each is a
-// Ready awaiter that executes the std::atomic operation immediately in
-// await_resume. Each awaitable costs exactly ONE primitive step — in
-// particular cas/cas_word are failure-word CASes (the result is an
-// algo::CasResult carrying the word observed at the step), so retry loops
-// cost one primitive per attempt rather than a CAS plus a re-read. The
-// peek_* functions are observer-side (never a step of the model) and are
-// what memory_image()/parity checks are built from.
+// until the scheduler grants the process its step and then runs the
+// rt/cells.h body; on hardware each runs the same body at the call and
+// returns a Done awaiter carrying the result. Each awaitable costs exactly
+// ONE primitive step — in particular cas/cas_word are failure-word CASes
+// (the result is an algo::CasResult carrying the word observed at the
+// step), so retry loops cost one primitive per attempt rather than a CAS
+// plus a re-read. The peek_* functions are observer-side (never a step of
+// the model) and are what memory_image()/parity checks are built from.
 //
 // Allocation contract: the coroutine frames behind Op/Sub are the
 // environment's cost to manage, not the algorithm's. RtEnv backs every
@@ -51,7 +51,8 @@
 //
 // The payoff: one algorithm definition gets exhaustive interleaving checks
 // and HI model checking from the SimEnv instantiation, and real-thread
-// stress tests plus hardware benchmarks from the RtEnv instantiation.
+// stress tests plus hardware benchmarks from the RtEnv (and FuzzEnv)
+// instantiations — and all three execute the same rt/cells.h atomics.
 #pragma once
 
 #include <cassert>
@@ -67,9 +68,9 @@ namespace hi::env {
 namespace detail {
 
 /// Awaiter adapter: forwards readiness/suspension to an inner awaitable and
-/// applies `fn` to its result. Zero-allocation; used by environments to
-/// convert a backend word type to the algorithm-level CtxWord without an
-/// intermediate coroutine frame.
+/// applies `fn` to its result. Zero-allocation; PackedBins::read uses it to
+/// extract one bin from a word load without an intermediate coroutine
+/// frame.
 template <typename Awaitable, typename Fn>
 struct [[nodiscard]] MapAwait {
   Awaitable inner;
@@ -87,32 +88,19 @@ struct [[nodiscard]] MapAwait {
 template <typename Awaitable, typename Fn>
 MapAwait(Awaitable, Fn) -> MapAwait<Awaitable, Fn>;
 
-/// Always-ready awaiter: runs `fn` at await_resume, i.e. synchronously at
-/// the co_await site. The hardware environment's primitive shape.
-template <typename Fn>
-struct [[nodiscard]] Ready {
-  Fn fn;
-
-  bool await_ready() const noexcept { return true; }
-  void await_suspend(std::coroutine_handle<>) const noexcept {}
-  auto await_resume() { return fn(); }
-};
-
-template <typename Fn>
-Ready(Fn) -> Ready<Fn>;
-
-/// An already-computed value as an awaitable. This — not Ready — is the
-/// shape the eager (rt/fuzz) environments return from every primitive: the
-/// atomic access executes inside the primitive call itself, while all
-/// argument references are trivially alive, and only the plain result value
-/// rides through the await transform. Carrying argument *captures* through
-/// nested always-ready awaiters instead (the fenced-Ready-inside-Ready
-/// pattern) was observed to miscompile under GCC 12 with -DNDEBUG: in a
-/// CAS retry loop the captured `expected` word lagged the refreshed value
-/// by one iteration and was transiently clobbered with bytes from a nested
-/// poll coroutine's frame, letting a stale CAS succeed and resurrect a
-/// retired flat-combining record (livelock). A value-only payload with no
-/// lambda and no nesting gives the transform nothing to get wrong.
+/// An already-computed value as an awaitable: the shape the eager (rt/fuzz)
+/// environments return from every primitive. The atomic access executes
+/// inside the primitive call itself, while all argument references are
+/// trivially alive, and only the plain result value rides through the
+/// await transform. Carrying argument *captures* through nested
+/// always-ready awaiters instead (an always-ready awaiter running a
+/// capturing lambda at await_resume, nested inside another) was observed
+/// to miscompile under GCC 12 with -DNDEBUG: in a CAS retry loop the
+/// captured `expected` word lagged the refreshed value by one iteration and
+/// was transiently clobbered with bytes from a nested poll coroutine's
+/// frame, letting a stale CAS succeed and resurrect a retired
+/// flat-combining record (livelock). A value-only payload with no lambda
+/// and no nesting gives the transform nothing to get wrong.
 template <typename T>
 struct [[nodiscard]] Done {
   T value;
@@ -175,8 +163,8 @@ auto ready(T value) {
 //
 // The scans are Sub coroutines (multi-step operations built from one-step
 // primitives), so the simulator explores every interleaving point between
-// word accesses and the explorer/replay suites model-check the packed
-// granularity like any other primitive sequence.
+// word accesses and the explorer model-checks the packed granularity like
+// any other primitive sequence.
 // ---------------------------------------------------------------------------
 
 /// The padded-per-bit layout: delegates to the environment's BinArray
@@ -197,19 +185,11 @@ struct PaddedBins {
   /// Multi-word initializer: word w of `words` seeds bins 64w+1..64w+64
   /// (bit v-1 of the flat bitmap = bin v); missing trailing words read as 0
   /// and bits beyond `count` are dropped (util::init_word is the single
-  /// source of that geometry). This is THE make_bits form — the uint64_t
-  /// overload below is a convenience wrapper for ≤64-bin call sites.
+  /// source of that geometry).
   static Array make_bits(typename Env::Ctx ctx, const char* prefix,
                          std::uint32_t count,
                          std::span<const std::uint64_t> words) {
     return Env::make_bin_array_words(ctx, prefix, count, words);
-  }
-  /// Single-word convenience overload (source compatibility for ≤64 bins;
-  /// with count > 64 the remaining bins simply start 0).
-  static Array make_bits(typename Env::Ctx ctx, const char* prefix,
-                         std::uint32_t count, std::uint64_t bits) {
-    return Env::make_bin_array_words(ctx, prefix, count,
-                                     std::span<const std::uint64_t>(&bits, 1));
   }
 
   static std::uint32_t size(const Array& a) {
@@ -273,7 +253,7 @@ struct PaddedBins {
 
   /// Bytes behind the shared representation (observer-side): the actual
   /// padded-cell storage on RtEnv, the modeled snapshot-word footprint on
-  /// the scheduler-driven backends.
+  /// SimEnv.
   static std::size_t footprint_bytes(const Array& a) {
     return Env::bin_storage_bytes(a);
   }
@@ -299,13 +279,6 @@ struct PackedBins {
                          std::uint32_t count,
                          std::span<const std::uint64_t> words) {
     return Env::make_packed_bin_array_words(ctx, prefix, count, words);
-  }
-  /// Single-word convenience overload (≤64-bin call sites; with count > 64
-  /// the remaining bins start 0).
-  static Array make_bits(typename Env::Ctx ctx, const char* prefix,
-                         std::uint32_t count, std::uint64_t bits) {
-    return Env::make_packed_bin_array_words(
-        ctx, prefix, count, std::span<const std::uint64_t>(&bits, 1));
   }
 
   static std::uint32_t size(const Array& a) { return Env::packed_bins(a); }
@@ -423,12 +396,12 @@ typename Bins::template Sub<std::uint32_t> confirm_down(
 /// boundary like YieldPolicy (env/fuzz_env.h). Retry loops call
 /// `Env::backoff(attempt)` after each failed CAS: attempt a waits
 /// base_spins << min(attempt, max_exponent) local spins. Purely local
-/// computation — zero shared-memory steps, zero allocations — so the sim
-/// and replay backends define it as a no-op and step-exact tests are
-/// unaffected; only RtEnv/FuzzEnv actually wait. base_spins == 0 (the
-/// default) disables it everywhere: one predictable branch on the retry
-/// path, preserving existing rt behavior unless a harness or bench opts in
-/// via RtEnv::set_backoff (process-wide; set before worker threads start).
+/// computation — zero shared-memory steps, zero allocations — so SimEnv
+/// defines it as a no-op and step-exact tests are unaffected; only
+/// RtEnv/FuzzEnv actually wait. base_spins == 0 (the default) disables it
+/// everywhere: one predictable branch on the retry path, preserving
+/// existing rt behavior unless a harness or bench opts in via
+/// RtEnv::set_backoff (process-wide; set before worker threads start).
 struct BackoffPolicy {
   std::uint32_t base_spins = 0;   // 0 = disabled (the default)
   std::uint32_t max_exponent = 8; // spin count caps at base_spins << this

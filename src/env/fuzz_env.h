@@ -1,10 +1,10 @@
 // FuzzEnv: RtEnv with seeded schedule perturbation at every Env primitive
 // boundary — the real-thread forced-yield fuzzing backend.
 //
-// ReplayEnv re-executes recorded sim interleavings over hardware atomics,
-// but it is single-threaded by construction: cross-thread timing effects
-// the step model cannot express (store buffering visible through the
-// compiled code, preemption inside an algorithm's read-compute-write
+// SimEnv steps the hardware atomics (rt/cells.h) at scheduler-granted
+// points, but it is single-threaded by construction: cross-thread timing
+// effects the step model cannot express (store buffering visible through
+// the compiled code, preemption inside an algorithm's read-compute-write
 // window, cache-line ping-pong reordering) are never exercised. FuzzEnv
 // closes that gap from the other side: real threads run the SAME
 // single-source algorithm bodies, and a per-thread seeded injector forces a
@@ -209,10 +209,6 @@ struct FuzzEnv {
                                        std::span<const std::uint64_t> words) {
     return RtEnv::make_bin_array_words(ctx, prefix, count, words);
   }
-  static BinArray make_bin_array_bits(Ctx ctx, const char* prefix,
-                                      std::uint32_t count, std::uint64_t bits) {
-    return RtEnv::make_bin_array_bits(ctx, prefix, count, bits);
-  }
   static std::uint8_t peek_bit(const BinArray& array, std::uint32_t index) {
     return RtEnv::peek_bit(array, index);
   }
@@ -229,11 +225,6 @@ struct FuzzEnv {
       Ctx ctx, const char* prefix, std::uint32_t count,
       std::span<const std::uint64_t> words) {
     return RtEnv::make_packed_bin_array_words(ctx, prefix, count, words);
-  }
-  static PackedBinArray make_packed_bin_array_bits(Ctx ctx, const char* prefix,
-                                                   std::uint32_t count,
-                                                   std::uint64_t bits) {
-    return RtEnv::make_packed_bin_array_bits(ctx, prefix, count, bits);
   }
   static std::uint32_t packed_bins(const PackedBinArray& array) {
     return RtEnv::packed_bins(array);

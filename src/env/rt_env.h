@@ -257,9 +257,9 @@ struct RtEnv {
 
   // ---- binary registers (the §4/§5.1 base objects) ----
   //
-  // Cell types and primitive bodies are shared with the ReplayEnv backend
-  // (rt/cells.h): one memory layout, one set of atomic operations — only
-  // the execution discipline (eager here, scheduler-driven there) differs.
+  // Cell types and primitive bodies are shared with SimEnv (rt/cells.h):
+  // one memory layout, one set of atomic operations — only the execution
+  // discipline (eager here, scheduler-driven there) differs.
 
   using BinArray = std::vector<rt::BinCell>;
 
@@ -290,12 +290,6 @@ struct RtEnv {
     return array;
   }
 
-  /// Single-word convenience form (bins 1..64 from `bits`).
-  static BinArray make_bin_array_bits(Ctx ctx, const char* prefix,
-                                      std::uint32_t count, std::uint64_t bits) {
-    return make_bin_array_words(ctx, prefix, count,
-                                std::span<const std::uint64_t>(&bits, 1));
-  }
 
   /// read(A[index]) — one seq_cst atomic load; models 1 binary-register-read
   /// step of the paper's model. `index` is 1-based (the paper's A[v]).
@@ -320,7 +314,7 @@ struct RtEnv {
 
   // ---- packed bin arrays: 64 bins per UNPADDED atomic word ----
   //
-  // Storage and primitive bodies shared with ReplayEnv (rt/cells.h). The
+  // Storage and primitive bodies shared with SimEnv (rt/cells.h). The
   // density is the point: K=1024 bins occupy 2 cache lines instead of the
   // padded layout's 64 KiB, so scans are O(K/64) loads; the tradeoff is
   // word contention between bins sharing a word (docs/PERF.md).
@@ -364,13 +358,6 @@ struct RtEnv {
     return array;
   }
 
-  /// Single-word convenience form (bins 1..64 from `bits`).
-  static PackedBinArray make_packed_bin_array_bits(Ctx ctx, const char* prefix,
-                                                   std::uint32_t count,
-                                                   std::uint64_t bits) {
-    return make_packed_bin_array_words(
-        ctx, prefix, count, std::span<const std::uint64_t>(&bits, 1));
-  }
 
   static std::uint32_t packed_bins(const PackedBinArray& array) {
     return array.bins;

@@ -1,14 +1,24 @@
-// SimEnv: the simulated asynchronous shared-memory backend of the Env
-// abstraction (see env.h and docs/ENV.md).
+// SimEnv: the scheduler-driven backend of the Env abstraction (see env.h
+// and docs/ENV.md) — rt/cells.h bodies executed at scheduler-granted steps.
 //
-// Wraps the existing sim::Primitive awaiters and BaseObject state encoding:
-// every read_bit/write_bit/cas_read/cas/cas_write/read_word/write_word/
-// cas_word returns the base object's own Primitive awaiter, so one scheduler
-// resume still executes exactly one primitive (§2's step granularity) and
-// mem(C) snapshots, object ids and primitive kinds are byte-identical to the
-// pre-Env implementations — the HI checker, the adversaries and the
-// exhaustive explorer all keep working unchanged over the single-source
-// algorithms.
+// Every read_bit/write_bit/cas_read/cas/cas_write/read_word/write_word/
+// cas_word returns the base object's own sim::Primitive awaiter: co_await
+// suspends the calling coroutine, and the primitive's body — the SAME
+// seq_cst std::atomic operation (or CMPXCHG16B) on the SAME cell type that
+// RtEnv executes eagerly — runs when the sim::Scheduler grants the process
+// its step. One scheduler resume == one atomic operation == one step of the
+// paper's §2 model. The cells are sim::BaseObjects registered in a
+// sim::Memory in factory order, so object ids, pending-primitive
+// introspection (the Lemma 16 adversary's observable), mem(C) snapshots and
+// recorded ScheduleTraces all work over the hardware bodies: the HI
+// checker, the adversaries, the exhaustive explorer and trace replay
+// (verify/replay.h) model-check exactly the code RtEnv runs.
+//
+// Allocation contract: SimEnv coroutines are sim::OpTask/sim::SubTask —
+// ordinary heap-allocated frames, NOT FrameArena-backed EagerTasks. A
+// suspended frame must outlive arbitrarily many scheduler steps (and the
+// scheduler may abandon it mid-operation), so the per-thread recycling
+// arena rules do not apply (docs/ENV.md; tests/test_rt_alloc.cpp pins it).
 #pragma once
 
 #include <cstdint>
@@ -71,20 +81,14 @@ struct SimEnv {
     return array;
   }
 
-  /// Single-word convenience form (bins 1..64 from `bits`).
-  static BinArray make_bin_array_bits(Ctx memory, const char* prefix,
-                                      std::uint32_t count, std::uint64_t bits) {
-    return make_bin_array_words(memory, prefix, count,
-                                std::span<const std::uint64_t>(&bits, 1));
-  }
-
-  /// read(A[index]) — exactly 1 primitive step (the paper's binary-register
-  /// read). `index` is 1-based, matching the paper's A[v] notation.
+  /// read(A[index]) — one seq_cst atomic load at the granted step; exactly
+  /// 1 primitive step (the paper's binary-register read). `index` is
+  /// 1-based, matching the paper's A[v] notation.
   static auto read_bit(BinArray& array, std::uint32_t index) {
     return array[index - 1]->read();
   }
-  /// write(A[index], value) — exactly 1 primitive step (binary-register
-  /// write; the only mutation primitive of Algorithms 1–4).
+  /// write(A[index], value) — one seq_cst atomic store; exactly 1 primitive
+  /// step (the only mutation primitive of Algorithms 1–4).
   static auto write_bit(BinArray& array, std::uint32_t index,
                         std::uint8_t value) {
     return array[index - 1]->write(value);
@@ -101,8 +105,9 @@ struct SimEnv {
 
   // ---- packed bin arrays: 64 bins per word-sized base object ----
   //
-  // Each word is ONE sim::PackedWordCell, so a word load or masked RMW is
-  // one primitive step and the explorer interleaves at word granularity.
+  // Each word is ONE sim::PackedWordCell (an unpadded atomic word), so a
+  // word load, LOCK OR or LOCK AND is one primitive step and the explorer
+  // interleaves at word granularity.
   // mem(C) encodes one 64-bit word per cell — the packed representation is
   // a pure function of the abstract bins, which is what preserves the HI
   // arguments (env/env.h, docs/ENV.md "Packed bin arrays").
@@ -151,15 +156,6 @@ struct SimEnv {
     return array;
   }
 
-  /// Single-word convenience form (bins 1..64 from `bits`).
-  static PackedBinArray make_packed_bin_array_bits(Ctx memory,
-                                                   const char* prefix,
-                                                   std::uint32_t count,
-                                                   std::uint64_t bits) {
-    return make_packed_bin_array_words(
-        memory, prefix, count, std::span<const std::uint64_t>(&bits, 1));
-  }
-
   static std::uint32_t packed_bins(const PackedBinArray& array) {
     return array.bins;
   }
@@ -191,46 +187,37 @@ struct SimEnv {
     return array.words.size() * sizeof(std::uint64_t);
   }
 
-  // ---- one CAS base object over CtxWord<Value> (Algorithm 6's base) ----
+  // ---- one CAS base object: the 16-byte hardware word ----
 
-  using Value = algo::RllscValue;
+  using Value = std::uint64_t;  // the codec word (algo/universal.h)
   using Word = algo::CtxWord<Value>;
-  using CasCell = sim::WideCasCell*;
+  using CasCell = sim::CasCell128*;
 
-  /// Registers the (wide) CAS base object in the Memory. Construction only.
+  /// Registers the CAS base object in the Memory. Construction only.
   static CasCell make_cas(Ctx memory, std::string name, Value initial) {
-    return &memory.make<sim::WideCasCell>(
-        std::move(name), sim::WideWord{initial.lo, initial.hi, 0});
+    return &memory.make<sim::CasCell128>(std::move(name), initial);
   }
 
-  /// Read(X) on the CAS object — 1 primitive step (§2: CAS objects support
-  /// standard reads).
-  static auto cas_read(CasCell& cell) {
-    return detail::MapAwait{cell->read(), [](sim::WideWord w) {
-                              return Word{{w.lo, w.hi}, w.ctx};
-                            }};
-  }
-  /// CAS(X, expected, desired) — 1 primitive step. Failure-word semantics:
-  /// the result carries the word observed at the step, so a retry loop pays
-  /// one primitive per attempt (no separate re-read; see docs/ENV.md).
+  /// Read(X) — one seq_cst 16-byte atomic load; 1 primitive step (§2: CAS
+  /// objects support standard reads).
+  static auto cas_read(CasCell& cell) { return cell->read(); }
+  /// CAS(X, expected, desired) — one CMPXCHG16B; 1 primitive step.
+  /// Failure-word semantics: the result carries the word observed at the
+  /// step, so a retry loop pays one primitive per attempt (no separate
+  /// re-read; see docs/ENV.md).
   static auto cas(CasCell& cell, const Word& expected, const Word& desired) {
-    return detail::MapAwait{
-        cell->cas_observe(to_wide(expected), to_wide(desired)),
-        [](sim::WideCasObserved r) {
-          return algo::CasResult<Word>{
-              r.installed, Word{{r.observed.lo, r.observed.hi}, r.observed.ctx}};
-        }};
+    return cell->cas(expected, desired);
   }
-  /// Write(X, desired) — 1 primitive step (§2: CAS objects support writes).
+  /// Write(X, desired) — one seq_cst 16-byte atomic store; 1 primitive step
+  /// (§2: CAS objects support writes).
   static auto cas_write(CasCell& cell, const Word& desired) {
-    return cell->write(to_wide(desired));
+    return cell->write(desired);
   }
   /// Observer-side peek of the full CAS word — 0 steps.
-  static Word peek_cas(const CasCell& cell) {
-    const sim::WideWord w = cell->peek();
-    return Word{{w.lo, w.hi}, w.ctx};
-  }
-  /// The simulated CAS object is an atomic primitive by construction.
+  static Word peek_cas(const CasCell& cell) { return cell->peek(); }
+  /// The model's CAS step is atomic by construction: the scheduler grants
+  /// one primitive at a time, so the answer does not depend on whether the
+  /// host's 16-byte atomics are lock-free (RtEnv reports that).
   static bool cas_is_lock_free(const CasCell&) { return true; }
   /// Local scheduling hint for spin retries — never a step, never touches
   /// shared memory. Meaningless under the sim scheduler: no-op.
@@ -242,9 +229,9 @@ struct SimEnv {
 
   // ---- arrays of 64-bit CAS words (per-process announce/result tables) ----
 
-  using WordArray = std::vector<sim::CasCell*>;
+  using WordArray = std::vector<sim::WordCell*>;
 
-  /// Registers `count` word-sized CAS cells named "<prefix>[0..count-1]"
+  /// Registers `count` 64-bit CAS words named "<prefix>[0..count-1]"
   /// (0-based: these model per-process cells indexed by pid, not the
   /// paper's 1-based value slots). Construction only.
   static WordArray make_word_array(Ctx memory, const char* prefix,
@@ -252,39 +239,30 @@ struct SimEnv {
     WordArray array;
     array.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
-      array.push_back(&memory.make<sim::CasCell>(
+      array.push_back(&memory.make<sim::WordCell>(
           std::string(prefix) + "[" + std::to_string(i) + "]", initial));
     }
     return array;
   }
 
-  /// read(W[index]) — 1 primitive step.
+  /// read(W[index]) — one seq_cst atomic load; 1 primitive step.
   static auto read_word(WordArray& array, std::uint32_t index) {
     return array[index]->read();
   }
-  /// write(W[index], value) — 1 primitive step.
+  /// write(W[index], value) — one seq_cst atomic store; 1 primitive step.
   static auto write_word(WordArray& array, std::uint32_t index,
                          std::uint64_t value) {
     return array[index]->write(value);
   }
-  /// CAS(W[index], expected, desired) — 1 primitive step, failure-word
-  /// semantics as for cas().
+  /// CAS(W[index], expected, desired) — one LOCK CMPXCHG; 1 primitive step,
+  /// failure-word semantics as for cas().
   static auto cas_word(WordArray& array, std::uint32_t index,
                        std::uint64_t expected, std::uint64_t desired) {
-    return detail::MapAwait{array[index]->cas_observe(expected, desired),
-                            [](sim::CasObserved r) {
-                              return algo::CasResult<std::uint64_t>{
-                                  r.installed, r.observed};
-                            }};
+    return array[index]->cas(expected, desired);
   }
   /// Observer-side peek — 0 steps.
   static std::uint64_t peek_word(const WordArray& array, std::uint32_t index) {
     return array[index]->peek();
-  }
-
- private:
-  static sim::WideWord to_wide(const Word& word) {
-    return sim::WideWord{word.value.lo, word.value.hi, word.ctx};
   }
 };
 

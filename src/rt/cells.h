@@ -1,14 +1,14 @@
 // The hardware base-object cells and their primitive bodies, factored out of
-// RtEnv so that BOTH real-hardware backends share one memory layout and one
-// set of std::atomic operations:
+// RtEnv so that BOTH backends share one memory layout and one set of
+// std::atomic operations:
 //
-//   * env::RtEnv     — eager execution: each primitive runs immediately at
-//                      the co_await site (EagerTask never suspends);
-//   * env::ReplayEnv — suspended execution: each primitive is wrapped in a
-//                      sim::Primitive awaiter and runs when a scheduler
-//                      grants the process its step, which is what lets a
-//                      recorded sim schedule drive the SAME atomics
-//                      step-by-step (tests/test_replay_*.cpp).
+//   * env::RtEnv  — eager execution: each primitive runs immediately at the
+//                   co_await site (EagerTask never suspends);
+//   * env::SimEnv — scheduler-driven execution: each primitive is wrapped in
+//                   a sim::Primitive awaiter (sim/base_object.h) and runs
+//                   when a sim::Scheduler grants the process its step, so
+//                   the explorer, the adversaries and recorded schedules
+//                   (verify/replay.h) step the SAME atomics.
 //
 // Everything here is seq_cst after construction — the §4/§6 proofs assume
 // atomic base objects with a total order on operations — and the CAS base

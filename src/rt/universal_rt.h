@@ -5,7 +5,7 @@
 // (UniversalAlg), instantiated here with RtEnv and CasRllscAlg<RtEnv> — the
 // same Theorem 32 composition the simulator model-checks as
 // core::Universal<S, core::CasRllsc>. Packing limits (the DESIGN
-// substitution carried by RllscWordCodec<uint64_t>): encoded abstract
+// substitution carried by Word64HeadCodec): encoded abstract
 // states ≤ 32 bits, responses ≤ 24 bits, ≤ 64 processes.
 //
 // apply() consumes the algorithm's EagerTask on the calling thread; the

@@ -1,13 +1,22 @@
 // Shared base objects of the simulated asynchronous shared-memory model.
 //
-// Each primitive (read, write, CAS, LL, SC, VL, RL, Load, Store) returns an
-// awaiter; `co_await`-ing it suspends the calling coroutine, and the
-// operation is applied atomically when the scheduler next resumes that
-// process — so one scheduler resume == one step of §2's model. The state of
+// Each primitive (read, write, CAS, fetch_or/fetch_and, LL, SC, VL, RL,
+// Load, Store) returns an awaiter; `co_await`-ing it suspends the calling
+// coroutine, and the operation is applied atomically when the scheduler
+// next resumes that process — so one scheduler resume == one step of §2's
+// model. The cells behind env::SimEnv hold std::atomic storage and execute
+// the SAME rt/cells.h bodies RtEnv runs — seq_cst loads, stores, LOCK
+// OR/AND/CMPXCHG, and CMPXCHG16B for the 16-byte CAS word: the simulator
+// decides WHEN a step happens, the hardware body decides WHAT it does. The
+// byte and word cells drop RtEnv's cache-line padding (rt::BinCell,
+// rt::WordCell): padding is a contention concern, the scheduler runs one
+// step at a time, and 64-byte-aligned cells would cost an aligned heap
+// allocation per cell in every explorer re-execution. The state of
 // every base object is part of mem(C) (see memory.h); local coroutine frames
 // are not, matching the paper's definition of the memory representation.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
@@ -15,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "rt/cells.h"
 #include "sim/task.h"
 #include "util/bits.h"
 
@@ -74,34 +84,37 @@ class BaseObject {
   std::string name_;
 };
 
-/// Binary (Boolean) read/write register — the small base object of §4/§5.3.
+/// Binary (Boolean) read/write register — the small base object of §4/§5.3:
+/// one atomic byte, stepped through the rt/cells.h bodies.
 class BinaryRegister : public BaseObject {
  public:
   explicit BinaryRegister(std::string name, bool initial = false)
-      : BaseObject(std::move(name)), value_(initial ? 1 : 0) {}
+      : BaseObject(std::move(name)), cell_(initial ? 1 : 0) {}
 
   auto read() {
-    return Primitive{id(), "read", [this] { return value_; }};
+    return Primitive{id(), "read", [this] { return rt::bin_read(cell_); }};
   }
   auto write(std::uint8_t value) {
     assert(value <= 1);
     return Primitive{id(), "write", [this, value] {
-                       value_ = value;
+                       rt::bin_write(cell_, value);
                        return true;
                      }};
   }
 
   void encode_state(std::vector<std::uint64_t>& out) const override {
-    out.push_back(value_);
+    out.push_back(peek());
   }
   std::string describe() const override {
-    return name() + "=" + std::to_string(value_);
+    return name() + "=" + std::to_string(peek());
   }
 
-  std::uint8_t peek() const { return value_; }  // observer-side, not a step
+  std::uint8_t peek() const {  // observer-side, not a step
+    return cell_.load(std::memory_order_seq_cst);
+  }
 
  private:
-  std::uint8_t value_;
+  std::atomic<std::uint8_t> cell_;
 };
 
 /// One 64-bit word of a packed bin array (env::PackedBins): 64 of the
@@ -114,38 +127,40 @@ class BinaryRegister : public BaseObject {
 class PackedWordCell : public BaseObject {
  public:
   explicit PackedWordCell(std::string name, std::uint64_t initial = 0)
-      : BaseObject(std::move(name)), value_(initial) {}
+      : BaseObject(std::move(name)), cell_(initial) {}
 
   /// Word load — 1 step; returns all 64 bins of this word atomically.
   auto read() {
-    return Primitive{id(), "read", [this] { return value_; }};
+    return Primitive{id(), "read", [this] { return rt::packed_load(cell_); }};
   }
-  /// Set every bin in `mask` — 1 step (the hardware fetch_or).
+  /// Set every bin in `mask` — 1 step (one LOCK OR).
   auto fetch_or(std::uint64_t mask) {
     return Primitive{id(), "fetch_or", [this, mask] {
-                       value_ |= mask;
+                       rt::packed_or(cell_, mask);
                        return true;
                      }};
   }
-  /// Keep only the bins in `mask` — 1 step (the hardware fetch_and).
+  /// Keep only the bins in `mask` — 1 step (one LOCK AND).
   auto fetch_and(std::uint64_t mask) {
     return Primitive{id(), "fetch_and", [this, mask] {
-                       value_ &= mask;
+                       rt::packed_and(cell_, mask);
                        return true;
                      }};
   }
 
   void encode_state(std::vector<std::uint64_t>& out) const override {
-    out.push_back(value_);
+    out.push_back(peek());
   }
   std::string describe() const override {
-    return name() + "=" + std::to_string(value_);
+    return name() + "=" + std::to_string(peek());
   }
 
-  std::uint64_t peek() const { return value_; }  // observer-side, not a step
+  std::uint64_t peek() const {  // observer-side, not a step
+    return rt::packed_load(cell_);
+  }
 
  private:
-  std::uint64_t value_;
+  std::atomic<std::uint64_t> cell_;
 };
 
 /// Word-sized read/write register with at most `num_states` states; used as a
@@ -155,313 +170,192 @@ class WordRegister : public BaseObject {
  public:
   WordRegister(std::string name, std::uint64_t num_states,
                std::uint64_t initial = 0)
-      : BaseObject(std::move(name)), num_states_(num_states), value_(initial) {
+      : BaseObject(std::move(name)), num_states_(num_states), cell_(initial) {
     assert(initial < num_states);
   }
 
   auto read() {
-    return Primitive{id(), "read", [this] { return value_; }};
+    return Primitive{id(), "read", [this] { return rt::word_read(cell_); }};
   }
   auto write(std::uint64_t value) {
     assert(value < num_states_);
     return Primitive{id(), "write", [this, value] {
-                       value_ = value;
+                       rt::word_write(cell_, value);
                        return true;
                      }};
   }
 
   void encode_state(std::vector<std::uint64_t>& out) const override {
-    out.push_back(value_);
+    out.push_back(peek());
   }
   std::string describe() const override {
-    return name() + "=" + std::to_string(value_);
+    return name() + "=" + std::to_string(peek());
   }
 
   std::uint64_t num_states() const { return num_states_; }
-  std::uint64_t peek() const { return value_; }
+  std::uint64_t peek() const { return cell_.load(std::memory_order_seq_cst); }
 
  private:
   std::uint64_t num_states_;
-  std::uint64_t value_;
+  std::atomic<std::uint64_t> cell_;
 };
 
-/// Outcome of an observing CAS: success flag plus the word the cell held
-/// immediately before the primitive executed (== expected iff installed).
-struct CasObserved {
-  bool installed = false;
-  std::uint64_t observed = 0;
-};
-
-/// Atomic compare-and-swap cell over 64-bit values, supporting read and write
-/// as in §2 ("we assume that the CAS object supports standard read and write
-/// operations"). This is the base object of Algorithm 6.
-class CasCell : public BaseObject {
+/// A 64-bit CAS word supporting read and write as in §2 ("we assume that
+/// the CAS object supports standard read and write operations"): the
+/// per-process announce/result cells of the leaky universal baseline and
+/// the wait-free-sim combinator's records and help queue. One atomic word.
+class WordCell : public BaseObject {
  public:
-  explicit CasCell(std::string name, std::uint64_t initial = 0)
-      : BaseObject(std::move(name)), value_(initial) {}
+  explicit WordCell(std::string name, std::uint64_t initial = 0)
+      : BaseObject(std::move(name)), cell_(initial) {}
 
   auto read() {
-    return Primitive{id(), "read", [this] { return value_; }};
+    return Primitive{id(), "read", [this] { return rt::word_read(cell_); }};
   }
   auto write(std::uint64_t value) {
     return Primitive{id(), "write", [this, value] {
-                       value_ = value;
+                       rt::word_write(cell_, value);
                        return true;
                      }};
   }
-  /// CAS(X, old, new): returns true iff the swap was applied.
+  /// Failure-word CAS: one LOCK CMPXCHG that also reports the word it
+  /// observed, so retry loops need no separate re-read step.
   auto cas(std::uint64_t expected, std::uint64_t desired) {
     return Primitive{id(), "cas", [this, expected, desired] {
-                       if (value_ != expected) return false;
-                       value_ = desired;
-                       return true;
-                     }};
-  }
-  /// Failure-word CAS: the same single "cas" primitive, additionally
-  /// reporting the word observed, so retry loops need no separate re-read.
-  auto cas_observe(std::uint64_t expected, std::uint64_t desired) {
-    return Primitive{id(), "cas", [this, expected, desired] {
-                       const CasObserved result{value_ == expected, value_};
-                       if (result.installed) value_ = desired;
-                       return result;
+                       return rt::word_cas(cell_, expected, desired);
                      }};
   }
 
   void encode_state(std::vector<std::uint64_t>& out) const override {
-    out.push_back(value_);
+    out.push_back(peek());
   }
   std::string describe() const override {
-    return name() + "=" + std::to_string(value_);
+    return name() + "=" + std::to_string(peek());
   }
 
-  std::uint64_t peek() const { return value_; }
+  std::uint64_t peek() const { return cell_.load(std::memory_order_seq_cst); }
 
  private:
-  std::uint64_t value_;
+  std::atomic<std::uint64_t> cell_;
 };
 
-/// The value domain of the "large" base objects of §6: big enough to hold a
-/// full abstract state plus the auxiliary response/process fields of
-/// Algorithm 5's head cell (the paper's O(s + 2^n)-state base objects).
-/// `lo`/`hi` carry the algorithm-level value; `ctx` is the R-LLSC context
-/// bitmask (bit i set <=> process i in context). For the plain CAS object the
-/// context word is simply part of the compared value, exactly as Algorithm 6
-/// stores (v, c_1, ..., c_n) in one CAS word.
-struct WideWord {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  std::uint64_t ctx = 0;
-
-  friend bool operator==(const WideWord&, const WideWord&) = default;
-};
-
-/// Outcome of an observing wide CAS (see CasObserved).
-struct WideCasObserved {
-  bool installed = false;
-  WideWord observed{};
-};
-
-/// Atomic CAS cell over WideWord — the base object of Algorithm 6 (§6.3).
-class WideCasCell : public BaseObject {
+/// The CAS base object of Algorithm 6 (§6.3): one 16-byte atomic word
+/// (rt::CasCell128) holding the packed algorithm value and the R-LLSC
+/// context bitmask, exactly as Algorithm 6 stores (v, c_1, ..., c_n) in one
+/// CAS word. Snapshot layout: 3 words (value, 0, ctx) — the middle word is
+/// a fixed zero so the mem(C) layout matches the native R-LLSC cell below.
+class CasCell128 : public BaseObject {
  public:
-  explicit WideCasCell(std::string name, WideWord initial = {})
-      : BaseObject(std::move(name)), word_(initial) {}
+  explicit CasCell128(std::string name, std::uint64_t initial = 0)
+      : BaseObject(std::move(name)), cell_(rt::Word128{initial, 0}) {}
 
   auto read() {
-    return Primitive{id(), "read", [this] { return word_; }};
+    return Primitive{id(), "read", [this] { return rt::cas128_read(cell_); }};
   }
-  auto write(WideWord desired) {
+  auto write(rt::CasWord desired) {
     return Primitive{id(), "write", [this, desired] {
-                       word_ = desired;
+                       rt::cas128_write(cell_, desired);
                        return true;
                      }};
   }
-  auto cas(WideWord expected, WideWord desired) {
-    return Primitive{id(), "cas", [this, expected, desired] {
-                       if (!(word_ == expected)) return false;
-                       word_ = desired;
-                       return true;
-                     }};
-  }
-  /// Failure-word CAS: one "cas" primitive that also reports the word it
+  /// Failure-word CAS: one CMPXCHG16B that also reports the word it
   /// observed, so Algorithm 6's retry loops need no separate re-read step.
-  auto cas_observe(WideWord expected, WideWord desired) {
+  auto cas(rt::CasWord expected, rt::CasWord desired) {
     return Primitive{id(), "cas", [this, expected, desired] {
-                       const WideCasObserved result{word_ == expected, word_};
-                       if (result.installed) word_ = desired;
-                       return result;
+                       return rt::cas128_cas(cell_, expected, desired);
                      }};
   }
 
   void encode_state(std::vector<std::uint64_t>& out) const override {
-    out.push_back(word_.lo);
-    out.push_back(word_.hi);
-    out.push_back(word_.ctx);
+    const rt::CasWord w = peek();
+    out.push_back(w.value);
+    out.push_back(0);
+    out.push_back(w.ctx);
   }
   std::string describe() const override {
-    return name() + "=(" + std::to_string(word_.lo) + "," +
-           std::to_string(word_.hi) + ",ctx=" + std::to_string(word_.ctx) +
-           ")";
+    const rt::CasWord w = peek();
+    return name() + "=(" + std::to_string(w.value) +
+           ",ctx=" + std::to_string(w.ctx) + ")";
   }
 
-  WideWord peek() const { return word_; }
+  rt::CasWord peek() const { return rt::cas128_read(cell_); }
 
  private:
-  WideWord word_;
+  rt::CasCell128 cell_;
 };
 
-/// Native context-aware releasable LL/SC object over WideWord values: each
-/// R-LLSC operation of §6.1 is a single atomic primitive. Used to run
-/// Algorithm 5 against *ideal* R-LLSC base objects, in isolation from
-/// Algorithm 6's CAS-based implementation of the same object (which is then
-/// substituted in for the full Theorem 32 composition).
+/// Native context-aware releasable LL/SC object (§6.1): each R-LLSC
+/// operation is a single atomic primitive. Used to run Algorithm 5 against
+/// *ideal* R-LLSC base objects, in isolation from Algorithm 6's CAS-based
+/// implementation of the same object (which is then substituted in for the
+/// full Theorem 32 composition). Hardware offers no such object, so this
+/// cell has no rt/cells.h body: it is plain words, sim-only. Snapshot
+/// layout (value, 0, ctx), the same as CasCell128.
 class WideRllscCell : public BaseObject {
  public:
-  explicit WideRllscCell(std::string name, WideWord initial = {})
-      : BaseObject(std::move(name)), word_(initial) {
-    assert(initial.ctx == 0 && "R-LLSC objects start with an empty context");
-  }
+  explicit WideRllscCell(std::string name, std::uint64_t initial = 0)
+      : BaseObject(std::move(name)), value_(initial) {}
 
   /// LL(O): adds the caller to the context, returns the value.
   auto ll() {
     return Primitive{id(), "LL", [this] {
-                       word_.ctx = util::set_bit(
-                           word_.ctx, static_cast<unsigned>(
-                                          detail::current_process()->pid));
-                       return word_;  // .lo/.hi carry the value
+                       ctx_ = util::set_bit(ctx_, self());
+                       return value_;
                      }};
   }
   /// VL(O): true iff the caller is in the context.
   auto vl() {
-    return Primitive{id(), "VL", [this] {
-                       return util::test_bit(
-                           word_.ctx, static_cast<unsigned>(
-                                          detail::current_process()->pid));
-                     }};
+    return Primitive{id(), "VL",
+                     [this] { return util::test_bit(ctx_, self()); }};
   }
   /// SC(O, new): installs the value and clears the context iff the caller is
   /// in the context.
-  auto sc(std::uint64_t lo, std::uint64_t hi) {
-    return Primitive{id(), "SC", [this, lo, hi] {
-                       const unsigned pid = static_cast<unsigned>(
-                           detail::current_process()->pid);
-                       if (!util::test_bit(word_.ctx, pid)) return false;
-                       word_ = WideWord{lo, hi, 0};
+  auto sc(std::uint64_t desired) {
+    return Primitive{id(), "SC", [this, desired] {
+                       if (!util::test_bit(ctx_, self())) return false;
+                       value_ = desired;
+                       ctx_ = 0;
                        return true;
                      }};
   }
   /// RL(O): removes the caller from the context.
   auto rl() {
     return Primitive{id(), "RL", [this] {
-                       word_.ctx = util::clear_bit(
-                           word_.ctx, static_cast<unsigned>(
-                                          detail::current_process()->pid));
+                       ctx_ = util::clear_bit(ctx_, self());
                        return true;
                      }};
   }
-  auto load() {
-    return Primitive{id(), "Load", [this] { return word_; }};
-  }
-  auto store(std::uint64_t lo, std::uint64_t hi) {
-    return Primitive{id(), "Store", [this, lo, hi] {
-                       word_ = WideWord{lo, hi, 0};
-                       return true;
-                     }};
-  }
-
-  void encode_state(std::vector<std::uint64_t>& out) const override {
-    out.push_back(word_.lo);
-    out.push_back(word_.hi);
-    out.push_back(word_.ctx);
-  }
-  std::string describe() const override {
-    return name() + "=(" + std::to_string(word_.lo) + "," +
-           std::to_string(word_.hi) + ",ctx=" + std::to_string(word_.ctx) +
-           ")";
-  }
-
-  WideWord peek() const { return word_; }
-
- private:
-  WideWord word_;
-};
-
-/// Word-sized context-aware releasable LL/SC object (§6.1): state is the
-/// pair (val, context). Smaller sibling of WideRllscCell used by the unit
-/// tests and the R-LLSC linearizability experiments.
-class RllscCell : public BaseObject {
- public:
-  RllscCell(std::string name, std::uint64_t initial = 0)
-      : BaseObject(std::move(name)), value_(initial) {}
-
-  /// LL(O): adds the calling process to O.context and returns O.val.
-  auto ll() {
-    return Primitive{id(), "LL", [this] {
-                       context_ = util::set_bit(
-                           context_,
-                           static_cast<unsigned>(
-                               detail::current_process()->pid));
-                       return value_;
-                     }};
-  }
-  /// VL(O): true iff the calling process is in O.context.
-  auto vl() {
-    return Primitive{id(), "VL", [this] {
-                       return util::test_bit(
-                           context_, static_cast<unsigned>(
-                                         detail::current_process()->pid));
-                     }};
-  }
-  /// SC(O, new): if the caller is in the context, installs `new`, clears the
-  /// context and returns true; otherwise returns false.
-  auto sc(std::uint64_t desired) {
-    return Primitive{id(), "SC", [this, desired] {
-                       const unsigned pid = static_cast<unsigned>(
-                           detail::current_process()->pid);
-                       if (!util::test_bit(context_, pid)) return false;
-                       value_ = desired;
-                       context_ = 0;
-                       return true;
-                     }};
-  }
-  /// RL(O): removes the caller from O.context; always returns true.
-  auto rl() {
-    return Primitive{id(), "RL", [this] {
-                       context_ = util::clear_bit(
-                           context_,
-                           static_cast<unsigned>(
-                               detail::current_process()->pid));
-                       return true;
-                     }};
-  }
-  /// Load(O): returns O.val without touching the context.
   auto load() {
     return Primitive{id(), "Load", [this] { return value_; }};
   }
-  /// Store(O, new): installs `new`, clears the context, returns true.
   auto store(std::uint64_t desired) {
     return Primitive{id(), "Store", [this, desired] {
                        value_ = desired;
-                       context_ = 0;
+                       ctx_ = 0;
                        return true;
                      }};
   }
 
   void encode_state(std::vector<std::uint64_t>& out) const override {
     out.push_back(value_);
-    out.push_back(context_);
+    out.push_back(0);
+    out.push_back(ctx_);
   }
   std::string describe() const override {
-    return name() + "=(" + std::to_string(value_) + ",ctx=" +
-           std::to_string(context_) + ")";
+    return name() + "=(" + std::to_string(value_) +
+           ",ctx=" + std::to_string(ctx_) + ")";
   }
 
   std::uint64_t peek_value() const { return value_; }
-  std::uint64_t peek_context() const { return context_; }
+  std::uint64_t peek_context() const { return ctx_; }
 
  private:
+  static unsigned self() {
+    return static_cast<unsigned>(detail::current_process()->pid);
+  }
+
   std::uint64_t value_;
-  std::uint64_t context_ = 0;  // bit i set <=> process i in context
+  std::uint64_t ctx_ = 0;  // bit i set <=> process i in context
 };
 
 }  // namespace hi::sim

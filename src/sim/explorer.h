@@ -159,8 +159,8 @@ class Explorer {
   const std::vector<Decision>& current_prefix() const { return prefix_; }
 
   /// Re-execute `decisions` on a fresh system with trace recording enabled,
-  /// yielding the (pid, kind, object)-annotated ScheduleTrace the replay
-  /// harness consumes (verify/replay.h). Decisions must be consistent with
+  /// yielding the (pid, kind, object)-annotated ScheduleTrace that
+  /// verify/replay.h re-executes. Decisions must be consistent with
   /// this explorer's workload (e.g. a prefix captured via current_prefix()).
   ScheduleTrace trace_of(const std::vector<Decision>& decisions) {
     ScheduleTrace trace;

@@ -58,8 +58,8 @@ class Runner {
     /// guards tests against livelock in lock-free-only algorithms.
     std::uint64_t max_steps = 5'000'000;
     /// When non-null, every scheduling event of the run is appended as a
-    /// TraceStep — the deterministic re-execution recipe the replay harness
-    /// (verify/replay.h) marches a hardware-atomics instantiation through.
+    /// TraceStep — the deterministic re-execution recipe verify/replay.h
+    /// marches a fresh system through.
     ScheduleTrace* trace = nullptr;
   };
 

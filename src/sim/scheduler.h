@@ -13,8 +13,7 @@
 // Optional trace recording (record_to): every start()/step() appends one
 // TraceStep — (pid, start) for invocations, (pid, object, kind) for
 // primitive steps — yielding a ScheduleTrace that re-executes the
-// interleaving deterministically, including over the hardware-atomics
-// replay backend (env/replay_env.h, verify/replay.h).
+// interleaving deterministically (verify/replay.h).
 #pragma once
 
 #include <cassert>

@@ -1,17 +1,14 @@
 // Schedule traces: a recorded sequence of scheduling events, precise enough
-// to re-execute an interleaving deterministically on ANY backend that
-// exposes the simulator's step granularity.
+// to re-execute an interleaving deterministically.
 //
-// A trace is the bridge between the model-checked and the executable
-// artifact: the simulator (or the exhaustive explorer, or the impossibility
-// adversaries) records the exact sequence of (invoke next op of p) /
-// (grant one step to p) events it scheduled, annotated with the base object
-// and primitive kind each step executed; the replay harness
-// (env/replay_env.h + verify/replay.h) then marches a second instantiation
-// of the SAME algorithm — over real std::atomic cells — through the
-// identical sequence, cross-checking the annotations, the responses and the
-// memory representation at every step. A divergence pinpoints the first
-// step at which the two backends disagree.
+// A trace is the persisted form of an interleaving: the simulator (or the
+// exhaustive explorer, or the impossibility adversaries) records the exact
+// sequence of (invoke next op of p) / (grant one step to p) events it
+// scheduled, annotated with the base object and primitive kind each step
+// executed; verify/replay.h then marches a fresh system through the
+// identical sequence — over the rt/cells.h std::atomic bodies SimEnv steps
+// — cross-checking every annotation. A deviation pinpoints the first step
+// at which the algorithm no longer retraces the recording.
 //
 // Traces are recorded via Scheduler::record_to (every start()/step() lands
 // one TraceStep), from Runner runs (Options.trace), or from explorer
@@ -32,8 +29,8 @@ namespace hi::sim {
 /// high-level operation (consumes no step; the coroutine is primed up to its
 /// first primitive). `start == false`: the process executes exactly one
 /// primitive step; `object`/`kind` record WHICH primitive was pending when
-/// the step was granted (the Lemma 16 adversary's observable), and the
-/// replay harness cross-checks both against the re-executing system.
+/// the step was granted (the Lemma 16 adversary's observable), and
+/// verify/replay.h cross-checks both against the re-executing system.
 ///
 /// A third event kind rides on the step shape: `kind == "crash"` (with
 /// `object == -1`) records a crash failure — the adversary permanently
@@ -67,8 +64,7 @@ struct TraceStep {
 
 /// A recorded schedule: the deterministic re-execution recipe for one
 /// interleaving. Given the same per-process operation sequences, replaying
-/// the steps in order reproduces the execution exactly — on the simulator
-/// AND on the hardware-atomics replay backend.
+/// the steps in order reproduces the execution exactly.
 struct ScheduleTrace {
   std::vector<TraceStep> steps;
 

@@ -3,6 +3,8 @@
 // single-writer state oracle, and workload generators.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "util/rng.h"
 #include "verify/hi_checker.h"
 #include "verify/history.h"
+#include "verify/linearizability.h"
 
 namespace hi::testing {
 
@@ -86,6 +89,23 @@ inline std::vector<std::vector<spec::RegisterSpec::Op>> register_workload(
     work[kReaderPid].push_back(spec::RegisterSpec::read());
   }
   return work;
+}
+
+/// One seeded random-schedule run of 25 writes ‖ 25 reads over `Impl` with
+/// K = num_values, checked for linearizability.
+template <typename Impl>
+void expect_register_linearizable(std::uint32_t num_values,
+                                  std::uint64_t seed) {
+  RegisterSystem<Impl> sys(num_values);
+  sim::Runner<spec::RegisterSpec, Impl> runner(
+      sys.spec, sys.memory, sys.sched, sys.impl,
+      [&](const auto& hist) { return last_write_or(hist, 1); });
+  auto result = runner.run(register_workload(num_values, 25, 25, seed),
+                           {.seed = seed});
+  ASSERT_FALSE(result.timed_out);
+  ASSERT_EQ(result.history.num_pending(), 0u);
+  const auto lin = verify::check_linearizable(sys.spec, result.history);
+  EXPECT_TRUE(lin.ok()) << "seed=" << seed << " K=" << num_values;
 }
 
 }  // namespace hi::testing

@@ -23,8 +23,8 @@
 //
 //  * ROUND TRIP — a caught crash failure records, shrinks (verify/shrink.h),
 //    prints as a paste-ready ScheduleTrace literal with its crash step, and
-//    replays differentially over hardware atomics (verify/replay.h) — the
-//    acceptance pipeline for crash regressions.
+//    replays through verify/replay.h on a fresh system — the acceptance
+//    pipeline for crash regressions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,7 +43,6 @@
 #include "core/hi_set.h"
 #include "core/universal.h"
 #include "core/wait_free_sim.h"
-#include "env/replay_env.h"
 #include "env/sim_env.h"
 #include "fuzz_common.h"
 #include "register_common.h"
@@ -722,20 +721,15 @@ TEST(CrashRoundTrip, LeakCaughtShrunkPrintedAndReplayed) {
   EXPECT_NE(literal.find(sim::TraceStep::kCrashKind), std::string::npos)
       << literal;
 
-  // 4. REPLAY — the crashed schedule marches differentially over real
-  //    std::atomic cells (ReplayEnv), lockstep over the survivors, and the
-  //    leak reproduces bit-identically on hardware words.
-  sim::Memory sim_mem;
-  sim::Scheduler sim_sched(2);
-  testing::LeakyCrashRegisterAlg<env::SimEnv> sim_impl(sim_mem, 1);
-  sim::Memory replay_mem;
-  sim::Scheduler replay_sched(2);
-  testing::LeakyCrashRegisterAlg<env::ReplayEnv> replay_impl(replay_mem, 1);
-  const verify::ReplayReport report = verify::replay_differential(
-      spec, sim_sched, sim_impl, replay_sched, replay_impl, work, trace,
-      verify::snapshot_word_compare(sim_mem, replay_mem));
+  // 4. REPLAY — the crashed schedule re-executes on a fresh system, every
+  //    step retracing its recorded (object, kind) annotation, and the leak
+  //    reproduces on the atomic cells.
+  LeakySystem replayed;
+  const verify::ReplayReport report = verify::replay_trace(
+      spec, replayed.sched, replayed.impl, work, trace);
   EXPECT_TRUE(report.ok) << report.message << "\ntrace:\n" << literal;
-  EXPECT_TRUE(leak_escapes(sim_mem.snapshot()))
+  EXPECT_EQ(report.steps_executed, 2u);  // the write's read + journal store
+  EXPECT_TRUE(leak_escapes(replayed.mem.snapshot()))
       << "the shrunk schedule no longer leaks when replayed";
 }
 

@@ -373,20 +373,20 @@ TEST(EnvParity, ShardedHiSet) {
   }
 }
 
-// ---- R-LLSC (Algorithm 6): value ↦ lo (hi unused), ctx ↦ ctx ----
+// ---- R-LLSC (Algorithm 6): value ↦ value, ctx ↦ ctx ----
 
 // Cell operations are SubTasks (they must run inside a scheduled process);
 // these adapters lift each one into a schedulable OpTask for run_solo.
 sim::OpTask<std::uint64_t> op_ll(core::CasRllsc& cell, int pid) {
-  const core::RllscValue v = co_await cell.ll(pid);
-  co_return v.lo;
+  const std::uint64_t v = co_await cell.ll(pid);
+  co_return v;
 }
 sim::OpTask<bool> op_vl(core::CasRllsc& cell, int pid) {
   const bool linked = co_await cell.vl(pid);
   co_return linked;
 }
 sim::OpTask<bool> op_sc(core::CasRllsc& cell, int pid, std::uint64_t arg) {
-  const bool done = co_await cell.sc(pid, core::RllscValue{arg, 0});
+  const bool done = co_await cell.sc(pid, std::uint64_t{arg});
   co_return done;
 }
 sim::OpTask<bool> op_rl(core::CasRllsc& cell, int pid) {
@@ -394,18 +394,18 @@ sim::OpTask<bool> op_rl(core::CasRllsc& cell, int pid) {
   co_return done;
 }
 sim::OpTask<std::uint64_t> op_load(core::CasRllsc& cell) {
-  const core::RllscValue v = co_await cell.load();
-  co_return v.lo;
+  const std::uint64_t v = co_await cell.load();
+  co_return v;
 }
 sim::OpTask<bool> op_store(core::CasRllsc& cell, std::uint64_t arg) {
-  const bool done = co_await cell.store(core::RllscValue{arg, 0});
+  const bool done = co_await cell.store(std::uint64_t{arg});
   co_return done;
 }
 
 TEST(EnvParity, CasRllsc) {
   sim::Memory memory;
   sim::Scheduler sched(4);
-  core::CasRllsc sim_cell(memory, "X", core::RllscValue{7, 0});
+  core::CasRllsc sim_cell(memory, "X", std::uint64_t{7});
   rt::RtRllsc rt_cell(7);
 
   const auto expect_same_state = [&](int at) {
@@ -566,8 +566,8 @@ TEST(EnvParity, LeakyUniversalCounter) {
 }
 
 // ---- Universal construction (Algorithm 5 over 6): every backend packs the
-// head/announce tuples through the ONE Word64HeadCodec (a sim value is the
-// codec word in lo with hi ≡ 0), so parity is word-exact: after every
+// head/announce tuples through the ONE Word64HeadCodec, so parity is
+// word-exact: after every
 // operation of an identical sequence, the sim memory_words() and the rt
 // memory_image() are the same ⟨value, ctx⟩ vector. ----
 
@@ -579,10 +579,8 @@ void expect_universal_words_equal(const SimObj& sim_obj, const RtObj& rt_obj,
   const auto rt_words = rt_obj.memory_image();
   ASSERT_EQ(sim_words.size(), rt_words.size());
   for (std::size_t i = 0; i < sim_words.size(); ++i) {
-    EXPECT_EQ(sim_words[i].value.lo, rt_words[i].value)
+    EXPECT_EQ(sim_words[i].value, rt_words[i].value)
         << "word " << i << " value diverges at " << at;
-    EXPECT_EQ(sim_words[i].value.hi, 0u)
-        << "sim hi half must stay zero (Word64HeadCodec contract)";
     EXPECT_EQ(sim_words[i].ctx, rt_words[i].ctx)
         << "word " << i << " context diverges at " << at;
   }

@@ -403,7 +403,7 @@ struct RllscSystem {
   sim::Scheduler sched;
   core::CasRllsc cell;
 
-  RllscSystem() : spec(8, 2), sched(2), cell(mem, "X", {0, 0}) {}
+  RllscSystem() : spec(8, 2), sched(2), cell(mem, "X", 0) {}
   sim::Scheduler& scheduler() { return sched; }
   sim::Memory& memory() { return mem; }
   sim::OpTask<spec::RllscSpec::Resp> apply(int pid, spec::RllscSpec::Op op) {
@@ -414,11 +414,11 @@ struct RllscSystem {
   sim::OpTask<spec::RllscSpec::Resp> run(int /*pid*/, spec::RllscSpec::Op op) {
     switch (op.kind) {
       case spec::RllscSpec::Kind::kLL: {
-        const core::RllscValue v = co_await cell.ll();
-        co_return spec::RllscSpec::Resp{static_cast<std::uint32_t>(v.lo), true};
+        const std::uint64_t v = co_await cell.ll();
+        co_return spec::RllscSpec::Resp{static_cast<std::uint32_t>(v), true};
       }
       case spec::RllscSpec::Kind::kSC: {
-        const bool done = co_await cell.sc(core::RllscValue{op.arg, 0});
+        const bool done = co_await cell.sc(std::uint64_t{op.arg});
         co_return spec::RllscSpec::Resp{0, done};
       }
       case spec::RllscSpec::Kind::kRL: {
@@ -430,11 +430,11 @@ struct RllscSystem {
         co_return spec::RllscSpec::Resp{0, linked};
       }
       case spec::RllscSpec::Kind::kLoad: {
-        const core::RllscValue v = co_await cell.load();
-        co_return spec::RllscSpec::Resp{static_cast<std::uint32_t>(v.lo), true};
+        const std::uint64_t v = co_await cell.load();
+        co_return spec::RllscSpec::Resp{static_cast<std::uint32_t>(v), true};
       }
       case spec::RllscSpec::Kind::kStore: {
-        const bool done = co_await cell.store(core::RllscValue{op.arg, 0});
+        const bool done = co_await cell.store(std::uint64_t{op.arg});
         co_return spec::RllscSpec::Resp{0, done};
       }
     }
@@ -457,7 +457,7 @@ TEST(Exhaustive, CasRllsc_LlScVsLlSc_AllSchedules) {
       [&](RllscSystem& sys, const auto&, int, int) {
         const auto snap = sys.mem.snapshot();
         if (snap.words.size() != 3 ||
-            snap.words[0] != sys.cell.peek_value().lo ||
+            snap.words[0] != sys.cell.peek_value() ||
             snap.words[2] != sys.cell.peek_context()) {
           ++mem_mismatch;
         }

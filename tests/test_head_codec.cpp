@@ -3,9 +3,8 @@
 // coverage:
 //   * round-trip over a lattice of (state, rsp, pid, has-response) points,
 //     plus the combining record and the ⊥ conventions;
-//   * the sim adapter (RllscWordCodec<RllscValue>) produces words whose lo
-//     half is bit-identical to the raw uint64 codec with hi ≡ 0 — the
-//     property that lets replay rows use verify::snapshot_word_compare;
+//   * a sim mem(C) snapshot of a universal object carries the raw codec
+//     words, in the 3-word (value, 0, ctx) CAS-cell layout;
 //   * PINNED bit layout: moving any field is a cross-backend
 //     snapshot-format break, so the exact bit positions are regression
 //     constants here, not derived from the codec itself.
@@ -16,15 +15,17 @@
 #include <vector>
 
 #include "algo/universal.h"
-#include "algo/values.h"
+#include "core/universal.h"
+#include "sim/harness.h"
+#include "sim/memory.h"
+#include "sim/scheduler.h"
+#include "spec/counter_spec.h"
 
 namespace hi {
 namespace {
 
 using algo::HeadResp;
 using algo::HeadView;
-using algo::RllscValue;
-using algo::RllscWordCodec;
 using algo::Word64HeadCodec;
 using Codec = Word64HeadCodec;
 
@@ -109,8 +110,8 @@ TEST(HeadCodec, HeadRoundTripLattice) {
 
 TEST(HeadCodec, PinnedBitLayout) {
   // Regression constants: the exact field positions. A failure here means
-  // the snapshot format changed — sim/rt/replay snapshots would no longer
-  // be comparable against committed traces.
+  // the snapshot format changed — sim/rt snapshots would no longer be
+  // comparable against committed images.
   EXPECT_EQ(Codec::announce_op(0xabcd1234u), 0x1'abcd1234ull);
   EXPECT_EQ(Codec::announce_resp(0xabcd1234u), 0x2'abcd1234ull);
   EXPECT_EQ(Codec::make_head(0x89abcdefull, std::nullopt), 0x89abcdefull);
@@ -130,42 +131,23 @@ TEST(HeadCodec, PinnedBitLayout) {
   EXPECT_EQ(Codec::kPidShift, 56);
 }
 
-TEST(HeadCodec, SimAdapterMatchesRawWordBitForBit) {
-  // The RllscValue adapter puts the codec word in lo and keeps hi ≡ 0, so
-  // a sim snapshot of a universal object equals the rt/replay snapshot of
-  // the same configuration word-for-word.
-  using SimCodec = RllscWordCodec<RllscValue>;
-  using RtCodec = RllscWordCodec<std::uint64_t>;
+TEST(HeadCodec, SimSnapshotCarriesTheRawCodecWord) {
+  // Env::Value is the codec word on every backend, and the sim CAS cell
+  // snapshots as (value, 0, ctx): a sim mem(C) of a universal object is the
+  // codec words verbatim, so it compares word-for-word with the rt image.
+  const spec::CounterSpec spec(1u << 20, 10);
+  sim::Memory memory;
+  sim::Scheduler sched(2);
+  core::Universal<spec::CounterSpec, core::CasRllsc> object(memory, spec, 2);
+  (void)sim::run_solo(sched, 1, object.apply(1, spec::CounterSpec::inc()));
+  (void)sim::run_solo(sched, 1, object.apply(1, spec::CounterSpec::inc()));
 
-  const RllscValue bot = SimCodec::bottom();
-  EXPECT_EQ(bot.lo, RtCodec::bottom());
-  EXPECT_EQ(bot.hi, 0u);
-
-  for (std::uint32_t payload : {0u, 7u, 0xffffffffu}) {
-    EXPECT_EQ(SimCodec::announce_op(payload).lo, RtCodec::announce_op(payload));
-    EXPECT_EQ(SimCodec::announce_op(payload).hi, 0u);
-    EXPECT_EQ(SimCodec::announce_resp(payload).lo,
-              RtCodec::announce_resp(payload));
-    EXPECT_EQ(SimCodec::announce_resp(payload).hi, 0u);
-  }
-  for (std::uint64_t state : state_lattice()) {
-    EXPECT_EQ(SimCodec::make_head(state, std::nullopt).lo,
-              RtCodec::make_head(state, std::nullopt));
-    const auto with_resp = SimCodec::make_head(state, HeadResp{0x1234, 3});
-    EXPECT_EQ(with_resp.lo, RtCodec::make_head(state, HeadResp{0x1234, 3}));
-    EXPECT_EQ(with_resp.hi, 0u);
-    EXPECT_EQ(SimCodec::make_combining_head(state, 5).lo,
-              RtCodec::make_combining_head(state, 5));
-
-    // Decoding agrees field-for-field.
-    const HeadView vs = SimCodec::decode_head(with_resp);
-    const HeadView vr = RtCodec::decode_head(with_resp.lo);
-    EXPECT_EQ(vs.state, vr.state);
-    EXPECT_EQ(vs.has_response, vr.has_response);
-    EXPECT_EQ(vs.combining, vr.combining);
-    EXPECT_EQ(vs.rsp, vr.rsp);
-    EXPECT_EQ(vs.pid, vr.pid);
-  }
+  const std::uint64_t head =
+      Codec::make_head(spec.encode_state(12), std::nullopt);
+  EXPECT_EQ(memory.snapshot().words,
+            (std::vector<std::uint64_t>{head, 0, 0,                  // head
+                                        Codec::bottom(), 0, 0,       // a[0]
+                                        Codec::bottom(), 0, 0}));    // a[1]
 }
 
 }  // namespace

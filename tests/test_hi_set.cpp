@@ -10,6 +10,7 @@
 #include <optional>
 
 #include "core/hi_set.h"
+#include "core/sharded_set.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
@@ -155,17 +156,41 @@ TEST(HiSet, Proposition6DistanceOne) {
 class HiSetRandom
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 
-TEST_P(HiSetRandom, LinearizableUnderFullConcurrency) {
-  const auto [n, seed] = GetParam();
-  Sys sys(10, n);
-  sim::Runner<SetSpec, HiSet> runner(
-      sys.spec, sys.memory, sys.sched, sys.impl,
-      [&](const auto&) { return bitmap_from_memory(sys.memory.snapshot()); });
-  auto result = runner.run(workload(10, n, 12, seed), {.seed = seed});
+/// One seeded random run over a set implementation `Impl` built by `make`,
+/// checked for linearizability.
+template <typename Impl, typename Make>
+void expect_linearizable_run(const SetSpec& spec, int n, std::uint64_t seed,
+                             Make make) {
+  sim::Memory memory;
+  sim::Scheduler sched(n);
+  Impl impl = make(memory);
+  sim::Runner<SetSpec, Impl> runner(spec, memory, sched, impl,
+                                    [](const auto&) { return 0; });
+  auto result =
+      runner.run(workload(spec.domain(), n, 12, seed), {.seed = seed});
   ASSERT_FALSE(result.timed_out);
   ASSERT_EQ(result.history.num_pending(), 0u);
-  EXPECT_TRUE(verify::check_linearizable(sys.spec, result.history).ok())
-      << "n=" << n << " seed=" << seed;
+  EXPECT_TRUE(verify::check_linearizable(spec, result.history).ok())
+      << "n=" << n << " seed=" << seed << " domain=" << spec.domain();
+}
+
+TEST_P(HiSetRandom, LinearizableUnderFullConcurrency) {
+  const auto [n, seed] = GetParam();
+  const SetSpec small(10);
+  expect_linearizable_run<HiSet>(
+      small, n, seed, [&](sim::Memory& m) { return HiSet(m, small); });
+  // The packed twin: the whole 64-key domain is ONE atomic word, so every
+  // insert/remove is a fetch_or/fetch_and racing every other operation on
+  // the same cell. The sharded store stripes the same domain over 4 such
+  // words.
+  const SetSpec word(64);
+  expect_linearizable_run<core::PackedHiSet>(
+      word, n, seed,
+      [&](sim::Memory& m) { return core::PackedHiSet(m, word); });
+  expect_linearizable_run<core::ShardedHiSet>(
+      word, n, seed, [&](sim::Memory& m) {
+        return core::ShardedHiSet(m, word, 4, algo::ShardPlacement::kStriped);
+      });
 }
 
 TEST_P(HiSetRandom, HiAcrossExecutions) {

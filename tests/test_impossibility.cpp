@@ -3,7 +3,8 @@
 //                       of candidate register implementations forever
 //                       (partly in test_hi_register_lockfree.cpp);
 //   E8  (Theorem 20)  — the representative-state variant starves Peek on the
-//                       strawman queue (S(i1,i2) walks, Lemma 38);
+//                       strawman queue (S(i1,i2) walks, Lemma 38), pinned
+//                       also as a persisted ScheduleTrace literal;
 //   E9  (Prop 6 / 14) — the distance/pigeonhole facts behind perfect-HI
 //                       impossibility, checked on the actual canonical maps;
 //   E6  (Prop 19)     — the reader of a wait-free quiescent-HI register must
@@ -17,9 +18,11 @@
 #include "core/hi_register_waitfree.h"
 #include "core/vidyasankar.h"
 #include "register_common.h"
+#include "sim/trace.h"
 #include "spec/queue_spec.h"
 #include "verify/hi_checker.h"
 #include "verify/linearizability.h"
+#include "verify/replay.h"
 
 namespace hi {
 namespace {
@@ -151,6 +154,91 @@ TEST(QueueImpossibility, ChangerOpsAreWaitFree) {
     (void)sim::run_solo(sys.sched, kWriterPid, sys.impl.apply(kWriterPid, op));
     EXPECT_LE(sys.sched.steps_of(kWriterPid) - before, bound);
   }
+}
+
+TEST(QueueImpossibility, StrawmanQueueLinearizableUnderRandomSchedules) {
+  // The candidate is a correct (linearizable) queue; only its progress
+  // guarantee is what Theorem 20 defeats.
+  const QueueSpec spec(4, 4);
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    util::Xoshiro256 rng(seed);
+    std::vector<std::vector<QueueSpec::Op>> workload(2);
+    for (int i = 0; i < 6; ++i) {
+      workload[kWriterPid].push_back(
+          rng.chance(2, 3) ? QueueSpec::enqueue(
+                                 static_cast<std::uint8_t>(rng.next_in(1, 4)))
+                           : QueueSpec::dequeue());
+    }
+    workload[kReaderPid].assign(3, QueueSpec::peek());
+
+    QueueSys sys(4);
+    sim::Runner<QueueSpec, StrawmanQueue> runner(
+        sys.spec, sys.memory, sys.sched, sys.impl,
+        [](const auto&) { return 0; });
+    const auto result = runner.run(
+        workload, {.seed = seed,
+                   .start_weight = 1 + static_cast<unsigned>(seed % 3),
+                   .step_weight = 1 + static_cast<unsigned>(seed % 5)});
+    ASSERT_FALSE(result.timed_out) << "seed=" << seed;
+    ASSERT_EQ(result.history.num_pending(), 0u);
+    EXPECT_TRUE(verify::check_linearizable(spec, result.history).ok())
+        << "seed=" << seed;
+  }
+}
+
+// Persisted counterexample: 6 rounds of the S(i1,i2) representative walk
+// against the domain-3 strawman queue (captured from run_starvation).
+// Object ids: F[0..3] = 0..3, slot bit-planes = 4..11. Each walk rewrites
+// the slot planes canonically, then flips the one-hot front bit exactly as
+// Peek's scan approaches it.
+TEST(QueueImpossibility, PersistedQueueStarvationTrace) {
+  const QueueSpec spec(3, 4);
+  std::vector<std::vector<QueueSpec::Op>> workload(2);
+  workload[kWriterPid] = {
+      QueueSpec::enqueue(1), QueueSpec::enqueue(2), QueueSpec::dequeue(),
+      QueueSpec::dequeue(),  QueueSpec::enqueue(1), QueueSpec::dequeue(),
+      QueueSpec::enqueue(1), QueueSpec::dequeue(),
+  };
+  workload[kReaderPid] = {QueueSpec::peek()};
+  const sim::ScheduleTrace trace{{
+      {0, true}, {0, false, 4, "write"}, {0, false, 5, "write"},
+      {0, false, 6, "write"}, {0, false, 7, "write"}, {0, false, 8, "write"},
+      {0, false, 9, "write"}, {0, false, 10, "write"}, {0, false, 11, "write"},
+      {0, false, 1, "write"}, {0, false, 0, "write"}, {1, true},
+      {0, true}, {0, false, 4, "write"}, {0, false, 5, "write"},
+      {0, false, 6, "write"}, {0, false, 7, "write"}, {0, false, 8, "write"},
+      {0, false, 9, "write"}, {0, false, 10, "write"}, {0, false, 11, "write"},
+      {0, true}, {0, false, 4, "write"}, {0, false, 5, "write"},
+      {0, false, 6, "write"}, {0, false, 7, "write"}, {0, false, 8, "write"},
+      {0, false, 9, "write"}, {0, false, 10, "write"}, {0, false, 11, "write"},
+      {0, false, 2, "write"}, {0, false, 1, "write"}, {1, false, 0, "read"},
+      {0, true}, {0, false, 4, "write"}, {0, false, 5, "write"},
+      {0, false, 6, "write"}, {0, false, 7, "write"}, {0, false, 8, "write"},
+      {0, false, 9, "write"}, {0, false, 10, "write"}, {0, false, 11, "write"},
+      {0, false, 0, "write"}, {0, false, 2, "write"}, {1, false, 1, "read"},
+      {0, true}, {0, false, 4, "write"}, {0, false, 5, "write"},
+      {0, false, 6, "write"}, {0, false, 7, "write"}, {0, false, 8, "write"},
+      {0, false, 9, "write"}, {0, false, 10, "write"}, {0, false, 11, "write"},
+      {0, false, 1, "write"}, {0, false, 0, "write"}, {1, false, 2, "read"},
+      {0, true}, {0, false, 4, "write"}, {0, false, 5, "write"},
+      {0, false, 6, "write"}, {0, false, 7, "write"}, {0, false, 8, "write"},
+      {0, false, 9, "write"}, {0, false, 10, "write"}, {0, false, 11, "write"},
+      {0, false, 0, "write"}, {0, false, 1, "write"}, {1, false, 3, "read"},
+      {0, true}, {0, false, 4, "write"}, {0, false, 5, "write"},
+      {0, false, 6, "write"}, {0, false, 7, "write"}, {0, false, 8, "write"},
+      {0, false, 9, "write"}, {0, false, 10, "write"}, {0, false, 11, "write"},
+      {0, false, 1, "write"}, {0, false, 0, "write"}, {1, false, 0, "read"},
+      {0, true}, {0, false, 4, "write"}, {0, false, 5, "write"},
+      {0, false, 6, "write"}, {0, false, 7, "write"}, {0, false, 8, "write"},
+      {0, false, 9, "write"}, {0, false, 10, "write"}, {0, false, 11, "write"},
+      {0, false, 0, "write"}, {0, false, 1, "write"}, {1, false, 1, "read"},
+  }};
+
+  QueueSys sys(3);
+  const verify::ReplayReport report =
+      verify::replay_trace(spec, sys.sched, sys.impl, workload, trace);
+  EXPECT_TRUE(report.ok) << report.message;
+  EXPECT_EQ(report.responses, 8u);  // the walk ops; Peek starves
 }
 
 // ------------------------------------------------------- E9: Prop 6 and 14

@@ -100,17 +100,31 @@ class HiMaxRegisterRandom
     : public ::testing::TestWithParam<std::tuple<std::uint32_t, std::uint64_t>> {
 };
 
-TEST_P(HiMaxRegisterRandom, Linearizable) {
-  const auto [k, seed] = GetParam();
-  Sys sys(k);
-  sim::Runner<MaxRegisterSpec, HiMaxRegister> runner(
-      sys.spec, sys.memory, sys.sched, sys.impl,
+/// One seeded random run over `Impl` with K = k, checked for
+/// linearizability.
+template <typename Impl>
+void expect_linearizable(std::uint32_t k, std::uint64_t seed) {
+  const MaxRegisterSpec spec(k, 1);
+  sim::Memory memory;
+  sim::Scheduler sched(2);
+  Impl impl(memory, spec, kWriter, kReader);
+  sim::Runner<MaxRegisterSpec, Impl> runner(
+      spec, memory, sched, impl,
       [&](const auto& hist) { return max_oracle(hist, 1); });
   auto result = runner.run(workload(k, 25, seed), {.seed = seed});
   ASSERT_FALSE(result.timed_out);
   ASSERT_EQ(result.history.num_pending(), 0u);
-  EXPECT_TRUE(verify::check_linearizable(sys.spec, result.history).ok())
+  EXPECT_TRUE(verify::check_linearizable(spec, result.history).ok())
       << "k=" << k << " seed=" << seed;
+}
+
+TEST_P(HiMaxRegisterRandom, Linearizable) {
+  const auto [k, seed] = GetParam();
+  expect_linearizable<HiMaxRegister>(k, seed);
+  // The packed twin (64 bins per word) at k+64 values spans two words, so
+  // WriteMax's fetch_or/fetch_and RMWs and ReadMax's word-load scans cross
+  // the word boundary.
+  expect_linearizable<core::PackedHiMaxRegister>(k + 64, seed);
 }
 
 TEST_P(HiMaxRegisterRandom, StateQuiescentHI) {

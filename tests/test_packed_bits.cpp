@@ -132,16 +132,15 @@ TEST(PackedSim, NonMultipleOf64SizesAndWordBoundaryBins) {
 TEST(PackedSim, BitsInitializationRoundTrip) {
   SimPackedFixture sys;
   const std::uint64_t bits = 0xdeadbeefcafef00dull;
-  SimArray a = env::SimEnv::make_packed_bin_array_bits(sys.memory, "S", 64,
-                                                       bits);
+  SimArray a = SimBins::make_bits(sys.memory, "S", 64, {&bits, 1});
   ASSERT_EQ(env::SimEnv::packed_words(a), 1u);
   EXPECT_EQ(env::SimEnv::peek_packed_word(a, 0), bits);
   for (std::uint32_t v = 1; v <= 64; ++v) {
     EXPECT_EQ(SimBins::peek(a, v), (bits >> (v - 1)) & 1) << "bin " << v;
   }
   // Bits beyond a short domain are dropped so tail bins stay 0.
-  SimArray b = env::SimEnv::make_packed_bin_array_bits(sys.memory, "T", 10,
-                                                       ~std::uint64_t{0});
+  const std::uint64_t ones[] = {~std::uint64_t{0}};
+  SimArray b = SimBins::make_bits(sys.memory, "T", 10, ones);
   EXPECT_EQ(env::SimEnv::peek_packed_word(b, 0), (std::uint64_t{1} << 10) - 1);
 }
 
@@ -230,8 +229,8 @@ TEST(PackedSim, ScansOnAllZeroArrayReturnZero) {
 
 TEST(PackedSim, ClearRangesRespectWordBoundaries) {
   SimPackedFixture sys;
-  SimArray a = env::SimEnv::make_packed_bin_array_bits(sys.memory, "A", 70,
-                                                       ~std::uint64_t{0});
+  const std::uint64_t ones[] = {~std::uint64_t{0}};
+  SimArray a = SimBins::make_bits(sys.memory, "A", 70, ones);
   for (std::uint32_t v = 65; v <= 70; ++v) {
     (void)sys.run(op_set(a, v));
   }
@@ -296,14 +295,13 @@ TEST(PackedRt, NonMultipleOf64SizesAndWordBoundaryBins) {
 
 TEST(PackedRt, BitsInitializationRoundTrip) {
   const std::uint64_t bits = 0x123456789abcdef0ull;
-  RtArray a = env::RtEnv::make_packed_bin_array_bits(env::RtEnv::Ctx{}, "S",
-                                                     64, bits);
+  RtArray a = RtBins::make_bits(env::RtEnv::Ctx{}, "S", 64, {&bits, 1});
   EXPECT_EQ(env::RtEnv::peek_packed_word(a, 0), bits);
   for (std::uint32_t v = 1; v <= 64; ++v) {
     EXPECT_EQ(RtBins::peek(a, v), (bits >> (v - 1)) & 1) << "bin " << v;
   }
-  RtArray b = env::RtEnv::make_packed_bin_array_bits(env::RtEnv::Ctx{}, "T",
-                                                     10, ~std::uint64_t{0});
+  const std::uint64_t ones[] = {~std::uint64_t{0}};
+  RtArray b = RtBins::make_bits(env::RtEnv::Ctx{}, "T", 10, ones);
   EXPECT_EQ(env::RtEnv::peek_packed_word(b, 0), (std::uint64_t{1} << 10) - 1);
 }
 

@@ -22,7 +22,6 @@ namespace {
 
 using core::CasRllsc;
 using core::NativeRllsc;
-using core::RllscValue;
 using spec::RllscSpec;
 
 /// Adapter exposing one R-LLSC cell as an abstract object for the harness.
@@ -30,7 +29,7 @@ template <typename Cell>
 class RllscObject {
  public:
   RllscObject(sim::Memory& memory, std::uint16_t initial)
-      : cell_(memory, "X", RllscValue{initial, 0}) {}
+      : cell_(memory, "X", std::uint64_t{initial}) {}
 
   sim::OpTask<RllscSpec::Resp> apply(int pid, RllscSpec::Op op) {
     assert(op.pid == pid);
@@ -44,15 +43,15 @@ class RllscObject {
   sim::OpTask<RllscSpec::Resp> run(RllscSpec::Op op) {
     switch (op.kind) {
       case RllscSpec::Kind::kLL: {
-        const RllscValue v = co_await cell_.ll();
-        co_return RllscSpec::Resp{static_cast<std::uint32_t>(v.lo), true};
+        const std::uint64_t v = co_await cell_.ll();
+        co_return RllscSpec::Resp{static_cast<std::uint32_t>(v), true};
       }
       case RllscSpec::Kind::kVL: {
         const bool linked = co_await cell_.vl();
         co_return RllscSpec::Resp{0, linked};
       }
       case RllscSpec::Kind::kSC: {
-        const bool done = co_await cell_.sc(RllscValue{op.arg, 0});
+        const bool done = co_await cell_.sc(std::uint64_t{op.arg});
         co_return RllscSpec::Resp{0, done};
       }
       case RllscSpec::Kind::kRL: {
@@ -60,11 +59,11 @@ class RllscObject {
         co_return RllscSpec::Resp{0, done};
       }
       case RllscSpec::Kind::kLoad: {
-        const RllscValue v = co_await cell_.load();
-        co_return RllscSpec::Resp{static_cast<std::uint32_t>(v.lo), true};
+        const std::uint64_t v = co_await cell_.load();
+        co_return RllscSpec::Resp{static_cast<std::uint32_t>(v), true};
       }
       case RllscSpec::Kind::kStore: {
-        const bool done = co_await cell_.store(RllscValue{op.arg, 0});
+        const bool done = co_await cell_.store(std::uint64_t{op.arg});
         co_return RllscSpec::Resp{0, done};
       }
     }
@@ -157,9 +156,9 @@ TEST_P(RllscRandom, CasBackedLinearizable) {
 
   sim::Runner<RllscSpec, RllscObject<CasRllsc>> runner(
       spec, memory, sched, object, [&](const auto&) {
-        const RllscValue v = object.cell().peek_value();
+        const std::uint64_t v = object.cell().peek_value();
         return spec.encode_state(
-            RllscSpec::State{v.lo, static_cast<std::uint16_t>(
+            RllscSpec::State{v, static_cast<std::uint16_t>(
                                        object.cell().peek_context())});
       });
   auto result = runner.run(rllsc_workload(n, 15, 16, seed), {.seed = seed});
@@ -211,9 +210,9 @@ TEST_P(RllscRandom, CasBackedPerfectHI_MemoryIsExactlyTheState) {
     // The invariant of Lemma 40: mem(C) == encode(state(C)).
     const auto snap = memory.snapshot();
     ASSERT_EQ(snap.words.size(), 3u);  // one CAS word, nothing else
-    const RllscValue v = object.cell().peek_value();
-    EXPECT_EQ(snap.words[0], v.lo);
-    EXPECT_EQ(snap.words[1], v.hi);
+    const std::uint64_t v = object.cell().peek_value();
+    EXPECT_EQ(snap.words[0], v);
+    EXPECT_EQ(snap.words[1], 0u);
     EXPECT_EQ(snap.words[2], object.cell().peek_context());
   }
 }
@@ -231,9 +230,9 @@ TEST_P(RllscRandom, SameStateSameMemoryAcrossExecutions) {
     RllscObject<CasRllsc> object(memory, 0);
     sim::Runner<RllscSpec, RllscObject<CasRllsc>> runner(
         spec, memory, sched, object, [&](const auto&) {
-          const RllscValue v = object.cell().peek_value();
+          const std::uint64_t v = object.cell().peek_value();
           return spec.encode_state(
-              RllscSpec::State{v.lo, static_cast<std::uint16_t>(
+              RllscSpec::State{v, static_cast<std::uint16_t>(
                                          object.cell().peek_context())});
         });
     auto result = runner.run(rllsc_workload(n, 10, 8, seed * 100 + sub),

@@ -21,8 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/hi_register_lockfree.h"
 #include "env/rt_env.h"
-#include "replay/replay_objects.h"
 #include "rt/baselines_rt.h"
 #include "rt/hi_set_rt.h"
 #include "rt/max_register_rt.h"
@@ -266,25 +266,26 @@ TEST(RtAllocSteadyState, LeakyUniversal) {
             }));
 }
 
-// ---- ReplayEnv exemption: suspending frames are heap-backed BY DESIGN ----
+// ---- SimEnv exemption: suspending frames are heap-backed BY DESIGN ----
 
-// docs/ENV.md "ReplayEnv: allocation contract": the steady-state
+// docs/ENV.md "SimEnv: allocation contract": the steady-state
 // allocs_per_op == 0 gate applies ONLY to RtEnv's EagerTask frames. A
-// ReplayEnv coroutine is a sim::OpTask/sim::SubTask whose frame must
-// survive arbitrarily many scheduler steps (and may be abandoned
-// mid-operation), so it is an ordinary heap allocation — recycling it
-// through the same-thread FrameArena free list would be unsound the moment
-// a harness destroyed it from another thread or drained the arena under a
-// live suspended frame. This test pins the exemption in both directions:
-// replay operations DO allocate per op, and none of that traffic touches
-// the calling thread's FrameArena books (so the arena invariants the churn
-// test checks stay exact even in binaries that mix both backends).
-TEST(RtAllocReplayExemption, ReplayFramesAreHeapBackedAndBypassTheArena) {
+// SimEnv coroutine is a sim::OpTask/sim::SubTask whose frame must survive
+// arbitrarily many scheduler steps (and may be abandoned mid-operation), so
+// it is an ordinary heap allocation — recycling it through the same-thread
+// FrameArena free list would be unsound the moment a harness destroyed it
+// from another thread or drained the arena under a live suspended frame.
+// SimEnv steps the same rt/cells.h bodies RtEnv runs, so both backends live
+// in one binary routinely; this test pins the exemption in both directions:
+// sim operations DO allocate per op, and none of that traffic touches the
+// calling thread's FrameArena books (so the arena invariants the churn test
+// checks stay exact even in binaries that mix both backends).
+TEST(RtAllocSimExemption, SimFramesAreHeapBackedAndBypassTheArena) {
   const spec::RegisterSpec spec(8, 1);
   sim::Memory memory;
   sim::Scheduler sched(2);
-  replay::LockFreeHiRegister reg(memory, spec, /*writer_pid=*/0,
-                                 /*reader_pid=*/1);
+  core::LockFreeHiRegister reg(memory, spec, /*writer_pid=*/0,
+                               /*reader_pid=*/1);
 
   for (int i = 0; i < 64; ++i) {  // warmup, mirroring the rt contracts
     (void)sim::run_solo(sched, 0, reg.write(0, (i % 8) + 1));
@@ -300,7 +301,7 @@ TEST(RtAllocReplayExemption, ReplayFramesAreHeapBackedAndBypassTheArena) {
   // Heap-backed: at least one allocation per operation (Op frame; reads add
   // a TryRead Sub frame).
   EXPECT_GE(tally.allocs(), static_cast<std::uint64_t>(2 * kOps));
-  EXPECT_EQ(tally.allocs(), tally.frees()) << "replay frames must not leak";
+  EXPECT_EQ(tally.allocs(), tally.frees()) << "sim frames must not leak";
   // And none of it went through the arena.
   const auto arena_after = env::FrameArena::local().stats();
   EXPECT_EQ(arena_after.outstanding, arena_before.outstanding);

@@ -1,11 +1,19 @@
 // Tests for the simulator substrate: coroutine step semantics (one primitive
 // per step), base-object atomicity, memory snapshots, scheduler bookkeeping
 // and pending-primitive introspection (the hook the Lemma 16 adversary uses).
+// The last section pins every rt/cells.h primitive body, driven through a
+// SimEnv cell at a scheduler-granted step, against hand-written plain-word
+// expected values: the 16-byte failure-word CAS (value AND ctx halves), the
+// 64-bit word CAS, the packed fetch_or/fetch_and, binary read/write.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "algo/values.h"
+#include "env/env.h"
+#include "env/sim_env.h"
 #include "sim/base_object.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
@@ -86,18 +94,19 @@ TEST(SimCore, InterleavingIsStepGranular) {
 TEST(SimCore, MemorySnapshotLayoutAndEquality) {
   Memory mem;
   auto& x = mem.make<BinaryRegister>("x", true);
-  auto& c = mem.make<CasCell>("c", 7);
-  auto& r = mem.make<RllscCell>("r", 3);
+  auto& c = mem.make<WordCell>("c", 7);
+  auto& r = mem.make<WideRllscCell>("r", 3);
   (void)x;
   (void)c;
   (void)r;
 
   const MemorySnapshot snap = mem.snapshot();
-  ASSERT_EQ(snap.words.size(), 4u);  // 1 + 1 + (val, ctx)
+  ASSERT_EQ(snap.words.size(), 5u);  // 1 + 1 + (val, 0, ctx)
   EXPECT_EQ(snap.words[0], 1u);
   EXPECT_EQ(snap.words[1], 7u);
   EXPECT_EQ(snap.words[2], 3u);
   EXPECT_EQ(snap.words[3], 0u);
+  EXPECT_EQ(snap.words[4], 0u);
 
   const MemorySnapshot again = mem.snapshot();
   EXPECT_EQ(snap, again);
@@ -111,11 +120,11 @@ TEST(SimCore, SnapshotDistance) {
   EXPECT_EQ(a.distance(b), 2u);
 }
 
-OpTask<std::uint32_t> cas_loop(CasCell& cell, std::uint64_t from,
+OpTask<std::uint32_t> cas_loop(WordCell& cell, std::uint64_t from,
                                std::uint64_t to) {
   for (;;) {
-    const bool swapped = co_await cell.cas(from, to);
-    if (swapped) break;
+    const algo::CasResult<std::uint64_t> r = co_await cell.cas(from, to);
+    if (r.installed) break;
     from = co_await cell.read();
   }
   co_return static_cast<std::uint32_t>(to);
@@ -123,7 +132,7 @@ OpTask<std::uint32_t> cas_loop(CasCell& cell, std::uint64_t from,
 
 TEST(SimCore, CasAtomicity) {
   Memory mem;
-  auto& cell = mem.make<CasCell>("c", 0);
+  auto& cell = mem.make<WordCell>("c", 0);
   Scheduler sched(2);
 
   OpTask<std::uint32_t> t0 = cas_loop(cell, 0, 1);
@@ -143,7 +152,7 @@ TEST(SimCore, CasAtomicity) {
 
 TEST(SimCore, RllscSemantics) {
   Memory mem;
-  auto& cell = mem.make<RllscCell>("r", 10);
+  auto& cell = mem.make<WideRllscCell>("r", 10);
   Scheduler sched(2);
 
   // p0: LL, then SC(11). p1: LL, then SC(12) — whoever SCs second fails,
@@ -173,7 +182,7 @@ TEST(SimCore, RllscSemantics) {
 
 TEST(SimCore, RllscReleaseAndValidate) {
   Memory mem;
-  auto& cell = mem.make<RllscCell>("r", 5);
+  auto& cell = mem.make<WideRllscCell>("r", 5);
   Scheduler sched(1);
 
   auto prog = [&cell]() -> OpTask<std::uint32_t> {
@@ -195,7 +204,7 @@ TEST(SimCore, RllscReleaseAndValidate) {
 
 TEST(SimCore, RllscLoadStoreDoNotNeedContext) {
   Memory mem;
-  auto& cell = mem.make<RllscCell>("r", 5);
+  auto& cell = mem.make<WideRllscCell>("r", 5);
   Scheduler sched(2);
 
   auto prog = [&cell]() -> OpTask<std::uint32_t> {
@@ -210,7 +219,7 @@ TEST(SimCore, RllscLoadStoreDoNotNeedContext) {
 
 TEST(SimCore, StoreClearsContext) {
   Memory mem;
-  auto& cell = mem.make<RllscCell>("r", 0);
+  auto& cell = mem.make<WideRllscCell>("r", 0);
   Scheduler sched(2);
 
   auto ll_only = [&cell]() -> OpTask<std::uint32_t> {
@@ -296,6 +305,121 @@ TEST(SimCore, WordRegisterStateCount) {
   };
   OpTask<std::uint32_t> t = prog();
   EXPECT_EQ(run_solo(sched, 0, std::move(t)), 0u);
+}
+
+// ---- rt/cells.h bodies through SimEnv cells ----
+
+using env::SimEnv;
+using CtxWord = algo::CtxWord<std::uint64_t>;
+
+/// Runs one awaitable primitive as a standalone operation and returns its
+/// result (one scheduler-granted step).
+template <typename Awaitable>
+auto step_once(Scheduler& sched, Awaitable primitive) {
+  using R = decltype(primitive.await_resume());
+  auto op = [](Awaitable p) -> OpTask<R> {
+    const R result = co_await p;
+    co_return result;
+  };
+  const std::uint64_t before = sched.steps_of(0);
+  R result = run_solo(sched, 0, op(std::move(primitive)));
+  EXPECT_EQ(sched.steps_of(0) - before, 1u) << "one primitive == one step";
+  return result;
+}
+
+TEST(SimCells, Cas128FailureWordCasCarriesBothHalves) {
+  Memory mem;
+  Scheduler sched(1);
+  SimEnv::CasCell cell = SimEnv::make_cas(mem, "X", 7);
+  EXPECT_EQ(mem.snapshot().words, (std::vector<std::uint64_t>{7, 0, 0}));
+
+  EXPECT_EQ(step_once(sched, SimEnv::cas_read(cell)), (CtxWord{7, 0}));
+
+  // Success: the whole 16-byte word is replaced; observed == expected.
+  const auto installed =
+      step_once(sched, SimEnv::cas(cell, CtxWord{7, 0}, CtxWord{9, 0b101}));
+  EXPECT_TRUE(installed.installed);
+  EXPECT_EQ(installed.observed, (CtxWord{7, 0}));
+  EXPECT_EQ(mem.snapshot().words, (std::vector<std::uint64_t>{9, 0, 0b101}));
+
+  // Failure on the ctx half alone: value matches, ctx does not. Nothing is
+  // written, and the observed word reports the current ctx.
+  const auto ctx_miss =
+      step_once(sched, SimEnv::cas(cell, CtxWord{9, 0b100}, CtxWord{1, 0}));
+  EXPECT_FALSE(ctx_miss.installed);
+  EXPECT_EQ(ctx_miss.observed, (CtxWord{9, 0b101}));
+
+  // Failure on the value half alone.
+  const auto value_miss =
+      step_once(sched, SimEnv::cas(cell, CtxWord{8, 0b101}, CtxWord{1, 0}));
+  EXPECT_FALSE(value_miss.installed);
+  EXPECT_EQ(value_miss.observed, (CtxWord{9, 0b101}));
+  EXPECT_EQ(SimEnv::peek_cas(cell), (CtxWord{9, 0b101}));
+
+  // Success needs BOTH halves to match, a nonzero ctx included.
+  const auto both =
+      step_once(sched, SimEnv::cas(cell, CtxWord{9, 0b101}, CtxWord{4, 0b10}));
+  EXPECT_TRUE(both.installed);
+  EXPECT_EQ(both.observed, (CtxWord{9, 0b101}));
+  EXPECT_EQ(mem.snapshot().words, (std::vector<std::uint64_t>{4, 0, 0b10}));
+
+  // Write replaces both halves unconditionally.
+  EXPECT_TRUE(step_once(sched, SimEnv::cas_write(cell, CtxWord{~0ull, 1})));
+  EXPECT_EQ(mem.snapshot().words, (std::vector<std::uint64_t>{~0ull, 0, 1}));
+  // The model step is atomic by construction, whatever the host reports.
+  EXPECT_TRUE(SimEnv::cas_is_lock_free(cell));
+}
+
+TEST(SimCells, WordCasReportsTheObservedWord) {
+  Memory mem;
+  Scheduler sched(1);
+  SimEnv::WordArray words = SimEnv::make_word_array(mem, "W", 2, 5);
+  EXPECT_EQ(mem.snapshot().words, (std::vector<std::uint64_t>{5, 5}));
+
+  const auto hit = step_once(sched, SimEnv::cas_word(words, 1, 5, 42));
+  EXPECT_TRUE(hit.installed);
+  EXPECT_EQ(hit.observed, 5u);
+  const auto miss = step_once(sched, SimEnv::cas_word(words, 1, 5, 43));
+  EXPECT_FALSE(miss.installed);
+  EXPECT_EQ(miss.observed, 42u);
+  EXPECT_EQ(step_once(sched, SimEnv::read_word(words, 1)), 42u);
+  EXPECT_TRUE(step_once(sched, SimEnv::write_word(words, 0, 1ull << 63)));
+  EXPECT_EQ(SimEnv::peek_word(words, 0), 1ull << 63);
+  EXPECT_EQ(mem.snapshot().words,
+            (std::vector<std::uint64_t>{1ull << 63, 42}));
+}
+
+TEST(SimCells, PackedFetchOrAndFetchAnd) {
+  Memory mem;
+  Scheduler sched(1);
+  const std::uint64_t init[] = {0x00ff00ff00ff00ffull, 0x3};
+  SimEnv::PackedBinArray a =
+      env::PackedBins<SimEnv>::make_bits(mem, "P", 66, init);
+  EXPECT_EQ(mem.snapshot().words,
+            (std::vector<std::uint64_t>{0x00ff00ff00ff00ffull, 0x3}));
+
+  EXPECT_TRUE(step_once(sched, SimEnv::or_packed_word(a, 0, 0xf0f0ull)));
+  EXPECT_EQ(SimEnv::peek_packed_word(a, 0), 0x00ff00ff00fff0ffull);
+  EXPECT_TRUE(
+      step_once(sched, SimEnv::and_packed_word(a, 0, 0xffff0000ffffffffull)));
+  EXPECT_EQ(SimEnv::peek_packed_word(a, 0), 0x00ff000000fff0ffull);
+  EXPECT_TRUE(step_once(sched, SimEnv::and_packed_word(a, 1, 0x2)));
+  EXPECT_EQ(step_once(sched, SimEnv::load_packed_word(a, 1)), 0x2u);
+  EXPECT_EQ(mem.snapshot().words,
+            (std::vector<std::uint64_t>{0x00ff000000fff0ffull, 0x2}));
+}
+
+TEST(SimCells, BinaryReadWrite) {
+  Memory mem;
+  Scheduler sched(1);
+  SimEnv::BinArray bins = SimEnv::make_bin_array(mem, "A", 3, 2);
+  EXPECT_EQ(mem.snapshot().words, (std::vector<std::uint64_t>{0, 1, 0}));
+  EXPECT_EQ(step_once(sched, SimEnv::read_bit(bins, 2)), 1u);
+  EXPECT_TRUE(step_once(sched, SimEnv::write_bit(bins, 3, 1)));
+  EXPECT_TRUE(step_once(sched, SimEnv::write_bit(bins, 2, 0)));
+  EXPECT_EQ(step_once(sched, SimEnv::read_bit(bins, 3)), 1u);
+  EXPECT_EQ(SimEnv::peek_bit(bins, 2), 0u);
+  EXPECT_EQ(mem.snapshot().words, (std::vector<std::uint64_t>{0, 0, 1}));
 }
 
 }  // namespace

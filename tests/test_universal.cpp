@@ -211,6 +211,17 @@ TYPED_TEST(UniversalTyped, ReadOnlyOpsTakeOneStepAndLeaveNoTrace) {
   }
 }
 
+TEST(UniversalModel, SimStepIsLockFreeByConstruction) {
+  // The sim CAS cell runs CMPXCHG16B, but its step is atomic because the
+  // scheduler grants one primitive at a time — so the sim objects report
+  // lock-free regardless of the host's 16-byte atomics (RtEnv reports the
+  // host's answer).
+  UniversalSystem<spec::CounterSpec, CasRllsc> sys(2);
+  EXPECT_TRUE(sys.object.is_lock_free());
+  CasRllsc cell(sys.memory, "X", 0);
+  EXPECT_TRUE(cell.is_lock_free());
+}
+
 TEST(UniversalHelping, StalledProcessIsHelpedToCompletion) {
   // p0 announces an increment and then takes no further steps; p1 performs
   // its own operations, and the helping path (lines 8–9) must apply p0's

@@ -1,13 +1,20 @@
 // Algorithm 1 (Vidyasankar's SWSR multi-valued register): linearizable and
 // wait-free, but NOT history independent — experiment E3 reproduces the
 // paper's §4 leak example verbatim, and the HI checker rejects it even on
-// purely sequential executions.
+// purely sequential executions. The Figure 1 leak interleaving is also
+// pinned as a hand-written ScheduleTrace literal, with the replay driver's
+// rejection of corrupted literals (verify/replay.h).
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/vidyasankar.h"
 #include "register_common.h"
+#include "sim/trace.h"
 #include "verify/hi_checker.h"
 #include "verify/linearizability.h"
+#include "verify/replay.h"
 
 namespace hi {
 namespace {
@@ -83,16 +90,12 @@ class VidyasankarRandom : public ::testing::TestWithParam<
 
 TEST_P(VidyasankarRandom, LinearizableUnderRandomSchedules) {
   const auto [k, seed] = GetParam();
-  Sys sys(k);
-  sim::Runner<RegisterSpec, VidyasankarRegister> runner(
-      sys.spec, sys.memory, sys.sched, sys.impl,
-      [&](const auto& hist) { return testing::last_write_or(hist, 1); });
-  auto result = runner.run(testing::register_workload(k, 25, 25, seed),
-                           {.seed = seed});
-  ASSERT_FALSE(result.timed_out);
-  ASSERT_EQ(result.history.num_pending(), 0u);
-  const auto lin = verify::check_linearizable(sys.spec, result.history);
-  EXPECT_TRUE(lin.ok()) << "seed=" << seed << " K=" << k;
+  testing::expect_register_linearizable<VidyasankarRegister>(k, seed);
+  // The packed twin (64 bins per word) at K+64 values spans two words, so
+  // the schedules cross the word boundary mid-scan and interleave
+  // fetch_or/fetch_and RMWs with word-load snapshots.
+  using Packed = core::PackedVidyasankarRegister;
+  testing::expect_register_linearizable<Packed>(k + 64, seed);
 }
 
 TEST_P(VidyasankarRandom, WaitFreeStepBounds) {
@@ -120,6 +123,65 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, VidyasankarRandom,
     ::testing::Combine(::testing::Values(3u, 5u, 8u),
                        ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u)));
+
+// ---- A hand-written ScheduleTrace literal (the persisted-counterexample
+// format): the Figure 1 leak interleaving, with a concurrent read landing
+// between the two writes. Replay must leave the leaked [1,1,0] image in the
+// atomic cells. ----
+
+TEST(VidyasankarTrace, HandWrittenTraceLiteralReplays) {
+  const RegisterSpec spec(3, 1);
+  const std::vector<std::vector<RegisterSpec::Op>> workload = {
+      {RegisterSpec::write(2), RegisterSpec::write(1)},
+      {RegisterSpec::read()}};
+  const sim::ScheduleTrace trace{{
+      {0, true}, {0, false, 1, "write"}, {1, true}, {1, false, 0, "read"},
+      {0, false, 0, "write"}, {0, true}, {0, false, 0, "write"},
+  }};
+
+  Sys sys(3);
+  const verify::ReplayReport report =
+      verify::replay_trace(spec, sys.sched, sys.impl, workload, trace);
+  EXPECT_TRUE(report.ok) << report.message;
+  EXPECT_EQ(report.steps_executed, 4u);
+  EXPECT_EQ(report.responses, 3u);
+  EXPECT_EQ(sys.memory.snapshot().words,
+            (std::vector<std::uint64_t>{1, 1, 0}));
+}
+
+// Driver self-checks: a corrupted annotation or a pid typo must be rejected,
+// not silently replayed — the determinism cross-check that makes a persisted
+// trace trustworthy as a regression artifact.
+
+TEST(VidyasankarTrace, CorruptedTraceAnnotationIsRejected) {
+  const RegisterSpec spec(3, 1);
+  const std::vector<std::vector<RegisterSpec::Op>> workload = {
+      {RegisterSpec::write(2)}, {}};
+  const sim::ScheduleTrace trace{{
+      {0, true}, {0, false, 2, "write"},  // write(2)'s first step hits A[2]
+                                          // (object 1), not object 2
+  }};
+
+  Sys sys(3);
+  const verify::ReplayReport report =
+      verify::replay_trace(spec, sys.sched, sys.impl, workload, trace);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.message.find("deviates"), std::string::npos)
+      << report.message;
+}
+
+TEST(VidyasankarTrace, OutOfRangePidInTraceIsRejected) {
+  const RegisterSpec spec(3, 1);
+  const std::vector<std::vector<RegisterSpec::Op>> workload = {
+      {RegisterSpec::write(2)}, {}};
+  const sim::ScheduleTrace trace{{{2, true}}};
+
+  Sys sys(3);
+  const verify::ReplayReport report =
+      verify::replay_trace(spec, sys.sched, sys.impl, workload, trace);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.message.find("pid"), std::string::npos) << report.message;
+}
 
 }  // namespace
 }  // namespace hi

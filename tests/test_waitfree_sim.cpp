@@ -282,6 +282,35 @@ TEST(WaitFreeSim, FailStreakObservableBetweenFailureAndCompletion) {
   EXPECT_EQ(comb.fail_streak(kReaderPid), 0u);  // reset by completion
 }
 
+TEST(WaitFreeSim, LinearizableUnderRandomSchedules) {
+  // Seeded random schedules overlap reads with writes, so some reads fail
+  // their fast attempt and run the announce/enqueue/help protocol; the
+  // fast_limit=0 row forces EVERY read through the slow path, so each seed
+  // exercises the helped-completion CAS race between owner and writer.
+  const std::uint32_t k = 5;
+  const spec::RegisterSpec spec(k, 1);
+  for (const std::uint32_t fast_limit : {1u, 0u}) {
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+      sim::Memory memory;
+      sim::Scheduler sched(2);
+      core::WaitFreeSimHiRegister impl(memory, spec, kWriterPid, kReaderPid,
+                                       fast_limit);
+      sim::Runner<spec::RegisterSpec, core::WaitFreeSimHiRegister> runner(
+          spec, memory, sched, impl,
+          [](const auto& hist) { return testing::last_write_or(hist, 1); });
+      const auto result = runner.run(
+          testing::register_workload(k, 8, 8, seed),
+          {.seed = seed,
+           .start_weight = 1 + static_cast<unsigned>(seed % 3),
+           .step_weight = 1 + static_cast<unsigned>(seed % 5)});
+      ASSERT_FALSE(result.timed_out) << "seed=" << seed;
+      ASSERT_EQ(result.history.num_pending(), 0u);
+      EXPECT_TRUE(verify::check_linearizable(spec, result.history).ok())
+          << "fast_limit=" << fast_limit << " seed=" << seed;
+    }
+  }
+}
+
 // ------------------------------------------------------ wait-freedom bound
 
 // The value-adaptive adversary of the starvation argument: before every
