@@ -59,6 +59,10 @@
 // operations, never what quiescent memory looks like; announce cells are
 // touched only by Stores (context-resetting) in this mode, and the
 // mode-B/helping lines 16–22 are dormant (head never carries ⟨rsp,j⟩).
+// For the same reason lines 25–26 are skipped: their LL could only set the
+// caller's context bit for the line-27 RL to clear again, two CAS steps on
+// the hottest word. Line 27 alone still erases a bit left by a line-6 LL
+// (the process exits at line 5 after a winner served it).
 // The trade is the classic flat-combining one: a stalled winner blocks the
 // batch, so combine=true is lock-free, not wait-free. combine=false (the
 // default) is the paper's wait-free Algorithm 5, unchanged.
@@ -388,15 +392,20 @@ class UniversalAlg {
     assert(Codec::is_resp(resp_val));
 
     // Line 25: ⟨q,r⟩ ← LL(head) ‖ bail once head ≠ ⟨_,⟨_,pid⟩⟩ (25R).
-    const auto poll_cleared = [this, pid] { return head_clear_of(pid); };
-    const std::optional<V> head_raw =
-        co_await head_.ll_interleaved(pid, poll_cleared);
+    // Combine mode never installs a mode-B head, so lines 25–26 could only
+    // link and then release head: skip straight to line 27, whose RL still
+    // erases any context bit a line-6 LL left behind (header comment).
     bool handled = false;
-    if (head_raw.has_value()) {
-      const HeadView view = Codec::decode_head(*head_raw);
-      if (view.has_response && view.pid == pid) {  // line 26
-        co_await head_.sc(pid, Codec::make_head(view.state, std::nullopt));
-        handled = true;
+    if (!combine_) {
+      const auto poll_cleared = [this, pid] { return head_clear_of(pid); };
+      const std::optional<V> head_raw =
+          co_await head_.ll_interleaved(pid, poll_cleared);
+      if (head_raw.has_value()) {
+        const HeadView view = Codec::decode_head(*head_raw);
+        if (view.has_response && view.pid == pid) {  // line 26
+          co_await head_.sc(pid, Codec::make_head(view.state, std::nullopt));
+          handled = true;
+        }
       }
     }
     if (!handled && clear_contexts_) {

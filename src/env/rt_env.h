@@ -420,7 +420,7 @@ struct RtEnv {
   }
   /// Observer-side peek — not an algorithm step.
   static Word peek_cas(const CasCell& cell) { return rt::cas128_read(cell); }
-  /// False iff libatomic fell back to a lock table (no CMPXCHG16B).
+  /// True iff the build inlines CMPXCHG16B (rt::Atomic128::is_lock_free).
   static bool cas_is_lock_free(const CasCell& cell) {
     return cell.word.is_lock_free();
   }

@@ -12,7 +12,8 @@
 //
 // Everything here is seq_cst after construction — the §4/§6 proofs assume
 // atomic base objects with a total order on operations — and the CAS base
-// object is the 16-byte Atomic128 word (CMPXCHG16B via -mcx16). Binary and
+// object is the 16-byte Atomic128 word (inline CMPXCHG16B for CAS and store
+// under -mcx16, a libatomic 16-byte load; rt/atomic128.h). Binary and
 // word cells are cache-line padded so contention comes from the algorithm,
 // not the layout.
 #pragma once
@@ -73,9 +74,15 @@ inline CasWord cas128_read(const CasCell128& cell) {
 }
 /// Failure-word CAS: one CMPXCHG16B; compare_exchange writes the current
 /// word back into `want` on failure, which becomes `observed`.
-inline algo::CasResult<CasWord> cas128_cas(CasCell128& cell,
-                                           const CasWord& expected,
-                                           const CasWord& desired) {
+///
+/// Kept out of line so the caller hands over `expected` and `desired` as it
+/// holds them. Inlined into CasRllscAlg::ll_interleaved, GCC 12 (-O2 and
+/// -O3, tree SLP vectorizer) rebuilt the retry's 16-byte expected word from
+/// stack slots written one retry later: a retry compared against the word
+/// seen one attempt earlier but installed `linked` built from the current
+/// one, so an ABA on head could let it install a stale word.
+[[gnu::noinline]] inline algo::CasResult<CasWord> cas128_cas(
+    CasCell128& cell, const CasWord& expected, const CasWord& desired) {
   Word128 want{expected.value, expected.ctx};
   const bool installed =
       cell.word.compare_exchange(want, Word128{desired.value, desired.ctx});

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "rt/atomic128.h"
 #include "rt/baselines_rt.h"
 #include "rt/rllsc_rt.h"
 #include "rt/universal_rt.h"
@@ -68,13 +70,116 @@ TEST(RtRllsc, ConcurrentScsAreExclusivePerLink) {
       << "context must be empty once no LL is pending un-SC'd";
 }
 
+TEST(RtRllsc, InterleavedLlRetryExpectsTheWordItLastSaw) {
+  // Each LL retry must expect exactly the word its failed CAS observed.
+  // GCC 12 once built the retry's expected word from the observation
+  // before (see rt::cas128_cas). The poll stages an ABA that exposes
+  // that: after the first failure (caused by a toggling peer) it parks the
+  // peer and stores 100. It then stores 7, which may be the word the first
+  // CAS saw. A retry expecting the stale 7 would install 100 over it.
+  rt::RtRllsc cell(7);
+  std::atomic<bool> toggle{false};
+  std::atomic<bool> idle{true};
+  std::atomic<bool> quit{false};
+  std::thread peer([&] {
+    while (!quit.load()) {
+      if (!toggle.load()) continue;
+      idle.store(false);
+      while (toggle.load()) {
+        cell.store(7);
+        cell.store(8);
+      }
+      idle.store(true);
+    }
+  });
+
+  int staged = 0;
+  for (int round = 0; round < 20000 && staged < 200; ++round) {
+    cell.store(7);
+    int polls = 0;
+    toggle.store(true);
+    while (idle.load()) {
+    }
+    const std::optional<std::uint64_t> got = cell.ll_interleaved(1, [&] {
+      if (++polls == 1) {
+        toggle.store(false);
+        while (!idle.load()) {
+        }
+        cell.store(100);
+      } else if (polls == 2) {
+        cell.store(7);
+      }
+      return false;
+    });
+    toggle.store(false);
+    while (!idle.load()) {
+    }
+    ASSERT_TRUE(got.has_value());
+    if (polls > 0) {
+      // The peer was parked from the first poll on, so the LL linked the
+      // 7 stored by the second poll and nothing has written since.
+      const rt::Word128 now = cell.snapshot();
+      EXPECT_EQ(*got, 7u) << "round " << round;
+      EXPECT_EQ(now.value, 7u) << "round " << round;
+      EXPECT_EQ(now.ctx, std::uint64_t{1} << 1) << "round " << round;
+      ++staged;
+    }
+    cell.rl(1);
+  }
+  quit.store(true);
+  peer.join();
+  EXPECT_GT(staged, 0) << "the peer never made the first CAS fail";
+}
+
 TEST(RtUniversal, LockFreedomReport) {
   const CounterSpec spec(1u << 24, 0);
   rt::RtUniversal<CounterSpec> object(spec, 4);
-  // Informational: on x86-64 with cmpxchg16b this is lock-free; the
-  // algorithms remain correct either way.
-  (void)object.is_lock_free();
-  SUCCEED();
+  rt::RtRllsc cell(0);
+#if defined(__x86_64__)
+  // The build adds -mcx16 on x86-64, so the 16-byte CAS must be inline
+  // CMPXCHG16B; false here means the word fell back to libatomic's lock
+  // table and the rt objects are no longer lock-free.
+  EXPECT_TRUE(rt::Atomic128{}.is_lock_free());
+  EXPECT_TRUE(cell.is_lock_free());
+  EXPECT_TRUE(object.is_lock_free());
+#else
+  // Elsewhere the answer is the platform's; the algorithms stay correct.
+  EXPECT_EQ(object.is_lock_free(), rt::Atomic128{}.is_lock_free());
+  EXPECT_EQ(cell.is_lock_free(), rt::Atomic128{}.is_lock_free());
+#endif
+}
+
+TEST(RtAtomic128, ConcurrentCasNeverTears) {
+  // Three threads CAS-increment both halves of one word together, so every
+  // consistent 16-byte read has value == ctx. A torn load (a half from
+  // each side of some CAS) or a torn failure word breaks the equality; a
+  // lost update shows in the final count.
+  rt::Atomic128 word(rt::Word128{0, 0});
+  constexpr int kThreads = 3;
+  constexpr std::uint64_t kIncsEach = 50000;
+  std::atomic<std::uint64_t> torn{0};
+
+  auto worker = [&] {
+    std::uint64_t done = 0;
+    while (done < kIncsEach) {
+      rt::Word128 cur = word.load();
+      if (cur.value != cur.ctx) torn.fetch_add(1);
+      const rt::Word128 next{cur.value + 1, cur.ctx + 1};
+      if (word.compare_exchange(cur, next)) {
+        ++done;
+      } else if (cur.value != cur.ctx) {
+        torn.fetch_add(1);
+      }
+    }
+  };
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) pool.emplace_back(worker);
+  for (auto& t : pool) t.join();
+
+  EXPECT_EQ(torn.load(), 0u);
+  const rt::Word128 last = word.load();
+  EXPECT_EQ(last.value, kThreads * kIncsEach);
+  EXPECT_EQ(last.ctx, kThreads * kIncsEach);
 }
 
 TEST(RtUniversal, CounterSumsExactlyUnderContention) {

@@ -350,8 +350,10 @@ TEST(UniversalCombining, WinnerSweepsStalledAnnouncesInOneInstall) {
   // Step-exact (CasRllsc backend): announce Store 1 + line-5 Load 1 +
   // head LL 2 + scan n=3 Loads + combining SC 2 + k=3 response Stores +
   // head-clearing Store 1 + line-5 re-Load 1 + line-24 Load 1 +
-  // line-25 LL 2 + line-27 RL 2 + line-28 Store 1 = 20.
-  EXPECT_EQ(winner_steps, 20u);
+  // line-27 RL 1 + line-28 Store 1 = 17. Combine mode skips lines 25–26
+  // (head never holds a mode-B record), and the RL is a single read because
+  // the successful SC already reset head's context.
+  EXPECT_EQ(winner_steps, 17u);
 
   // The stalled processes wake, find their responses, and finish promptly
   // without installing anything further.
@@ -376,6 +378,64 @@ TEST(UniversalCombining, WinnerSweepsStalledAnnouncesInOneInstall) {
   EXPECT_TRUE(sys.object.announce_is_bottom(2));
   EXPECT_EQ(sys.object.context_union(), 0u);
   EXPECT_FALSE(sys.object.head_has_response());
+}
+
+/// Combine mode, step-exact: p0 announces and does its line-5 Load; p1 then
+/// runs a whole combining batch that serves p0. p0 resumes with a line-6 LL
+/// that links head, scans, finds nothing pending (batch == 0) and leaves
+/// through line 5 — so its context bit sits on head until line 27. Returns
+/// p0's steps after p1's batch; `ctx_after` gets the quiescent context union.
+std::uint64_t run_served_after_line5(bool clear_contexts,
+                                     std::uint64_t& ctx_after) {
+  using S = spec::CounterSpec;
+  UniversalSystem<S, CasRllsc> sys(2, clear_contexts, /*combine=*/true);
+
+  sim::OpTask<S::Resp> served = sys.object.apply(0, S::inc());
+  sys.sched.start(0, served);
+  sys.sched.step(0);  // line 4: announce Store
+  sys.sched.step(0);  // line 5: Load, still an op
+
+  const auto resp1 = sim::run_solo(sys.sched, 1, sys.object.apply(1, S::inc()));
+  EXPECT_EQ(resp1, 11u);
+  EXPECT_EQ(sys.object.batches_installed(), 1u);
+  EXPECT_EQ(sys.object.ops_combined(), 2u);
+
+  std::uint64_t steps = 0;
+  while (!sys.sched.op_finished(0)) {
+    EXPECT_LT(steps, 20u) << "served process did not finish promptly";
+    if (steps >= 20u || !sys.sched.runnable(0)) break;
+    sys.sched.step(0);
+    ++steps;
+  }
+  sys.sched.finish(0);
+  EXPECT_EQ(served.take_result(), 10u);
+  EXPECT_EQ(sys.object.batches_installed(), 1u) << "p0 must not install";
+  EXPECT_TRUE(sys.object.announce_is_bottom(0));
+  EXPECT_TRUE(sys.object.announce_is_bottom(1));
+  EXPECT_FALSE(sys.object.head_has_response());
+  ctx_after = sys.object.context_union();
+  // Only head can carry the bit: announce cells are touched by Stores alone.
+  EXPECT_EQ(ctx_after, sys.object.memory_words()[0].ctx);
+  return steps;
+}
+
+TEST(UniversalCombining, LineTwentySevenClearsTheLingeringLineSixBit) {
+  // p0 after p1's batch: head LL 2 + scan n=2 Loads + line-5 Load 1 +
+  // line-24 Load 1 + line-27 RL 2 (read, then the CAS that clears p0's
+  // bit) + line-28 Store 1 = 9. Skipping lines 25–26 must not skip this
+  // erasure: quiescent contexts are empty (Lemma 27).
+  std::uint64_t ctx = ~std::uint64_t{0};
+  EXPECT_EQ(run_served_after_line5(/*clear_contexts=*/true, ctx), 9u);
+  EXPECT_EQ(ctx, 0u);
+}
+
+TEST(UniversalCombining, WithoutLineTwentySevenTheLineSixBitLingers) {
+  // Positive control for the test above: the same schedule with the red
+  // lines ablated skips the RL (7 steps) and leaves p0's bit on head, so
+  // the clean result above is the RL's doing.
+  std::uint64_t ctx = 0;
+  EXPECT_EQ(run_served_after_line5(/*clear_contexts=*/false, ctx), 7u);
+  EXPECT_EQ(ctx, std::uint64_t{1}) << "p0's line-6 context bit on head";
 }
 
 TYPED_TEST(UniversalTyped, CombiningLinearizableAndQuiescentHi) {
