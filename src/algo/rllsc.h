@@ -20,10 +20,10 @@
 // caller, exactly as the paper's p_i; the simulator wrapper recovers them
 // from the scheduler so existing call sites stay pid-implicit.
 //
-// Every entry point is a Sub coroutine: on RtEnv its frame comes from the
-// per-thread frame arena (env/rt_env.h), so LL/SC/RL/VL/Load/Store cost
-// zero steady-state heap allocations — the rt benches' allocs_per_op field
-// pins this (docs/PERF.md).
+// LL, the interleaved LL, SC and RL loop, so they are Sub coroutines (on
+// RtEnv their frames come from the per-thread arena, env/rt_env.h). VL,
+// Load and Store are one primitive each and return its awaitable, mapped by
+// env::detail::MapAwait where needed: no frame (docs/ENV.md).
 #pragma once
 
 #include <cassert>
@@ -33,6 +33,7 @@
 #include <utility>
 
 #include "algo/values.h"
+#include "env/env.h"
 #include "util/bits.h"
 
 namespace hi::algo {
@@ -85,10 +86,11 @@ class CasRllscAlg {
     }
   }
 
-  /// VL(O) — lines 12–13.
-  Sub<bool> vl(int pid) {
-    const Word cur = co_await Env::cas_read(cell_);
-    co_return util::test_bit(cur.ctx, bit(pid));
+  /// VL(O) — lines 12–13: one Read, the caller's bit tested locally.
+  auto vl(int pid) {
+    return env::detail::MapAwait{
+        Env::cas_read(cell_),
+        [pid](const Word& cur) { return util::test_bit(cur.ctx, bit(pid)); }};
   }
 
   /// SC(O, new) — lines 7–11: succeeds iff the caller is still linked.
@@ -121,16 +123,13 @@ class CasRllscAlg {
   }
 
   /// Load(O) — lines 21–22.
-  Sub<V> load() {
-    const Word cur = co_await Env::cas_read(cell_);
-    co_return cur.value;
+  auto load() {
+    return env::detail::MapAwait{Env::cas_read(cell_),
+                                 [](const Word& cur) { return cur.value; }};
   }
 
   /// Store(O, new) — lines 23–24: unconditional, resets the context.
-  Sub<bool> store(V desired) {
-    const bool done = co_await Env::cas_write(cell_, Word{desired, 0});
-    co_return done;
-  }
+  auto store(V desired) { return Env::cas_write(cell_, Word{desired, 0}); }
 
   // Observer-side introspection (not steps): abstract state of the R-LLSC
   // object, which for this implementation is literally the memory word.

@@ -73,12 +73,12 @@
 // traffic: one atomic per failed low-level retry, on both backends.
 //
 // Frame discipline: apply() forwards to apply_read_only/apply_update by
-// returning the callee's task (no extra coroutine frame), and the helper
-// chain below an apply — the cell's LL/SC/RL Subs and the response_ready /
-// head_clear_of poll Subs spawned once per ‖-poll — is at most three frames
-// deep. On RtEnv all of them recycle through the per-thread frame arena
-// (env/rt_env.h): an update operation performs zero steady-state heap
-// allocations however much helping it does.
+// returning the callee's task (no extra coroutine frame). Below it only the
+// cell's looping LL/SC/RL are Sub coroutines; Load/Store/VL and the
+// response_ready / head_clear_of ‖-polls return their one primitive's
+// awaitable and mint no frame (tests/test_rt_alloc.cpp pins frames per op).
+// On RtEnv frames recycle through the per-thread frame arena (env/rt_env.h):
+// an update makes zero steady-state heap allocations however much it helps.
 #pragma once
 
 #include <array>
@@ -92,6 +92,7 @@
 #include <vector>
 
 #include "algo/values.h"
+#include "env/env.h"
 #include "spec/spec.h"
 #include "util/padded.h"
 
@@ -190,8 +191,6 @@ class UniversalAlg {
   using Codec = Word64HeadCodec;
   template <typename T>
   using OpT = typename Env::template Op<T>;
-  template <typename T>
-  using SubT = typename Env::template Sub<T>;
 
   /// `clear_contexts` disables the paper's red lines (22 and 27 and the RL
   /// of 18R.2) when false — the HI-breaking ablation. Production use: true.
@@ -485,16 +484,17 @@ class UniversalAlg {
 
  private:
   /// 6R.1 / 18R.1: has my response been published in announce[pid]?
-  SubT<bool> response_ready(int pid) {
-    const V v = co_await announce_[pid].load();
-    co_return Codec::is_resp(v);
+  auto response_ready(int pid) {
+    return env::detail::MapAwait{announce_[pid].load(),
+                                 [](V v) { return Codec::is_resp(v); }};
   }
 
   /// 25R.1: head no longer holds ⟨_, ⟨_, pid⟩⟩?
-  SubT<bool> head_clear_of(int pid) {
-    const V v = co_await head_.load();
-    const HeadView view = Codec::decode_head(v);
-    co_return !(view.has_response && view.pid == pid);
+  auto head_clear_of(int pid) {
+    return env::detail::MapAwait{head_.load(), [pid](V v) {
+      const HeadView view = Codec::decode_head(v);
+      return !(view.has_response && view.pid == pid);
+    }};
   }
 
   const S& spec_;

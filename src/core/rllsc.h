@@ -69,10 +69,11 @@ class NativeRllsc {
   NativeRllsc(sim::Memory& memory, std::string name, std::uint64_t initial)
       : cell_(&memory.make<sim::WideRllscCell>(std::move(name), initial)) {}
 
-  sim::SubTask<std::uint64_t> ll(int pid = -1) {
+  // Every entry point but the interleaved LL is one native primitive and
+  // returns the cell's awaitable directly: one step, no coroutine frame.
+  auto ll(int pid = -1) {
     assert_self(pid);
-    const std::uint64_t value = co_await cell_->ll();
-    co_return value;
+    return cell_->ll();
   }
 
   /// Native LL is wait-free, so interleaving is unnecessary for progress;
@@ -92,30 +93,21 @@ class NativeRllsc {
     return ll_interleaved(-1, std::move(poll));
   }
 
-  sim::SubTask<bool> vl(int pid = -1) {
+  auto vl(int pid = -1) {
     assert_self(pid);
-    const bool valid = co_await cell_->vl();
-    co_return valid;
+    return cell_->vl();
   }
-  sim::SubTask<bool> sc(int pid, std::uint64_t desired) {
+  auto sc(int pid, std::uint64_t desired) {
     assert_self(pid);
-    const bool swapped = co_await cell_->sc(desired);
-    co_return swapped;
+    return cell_->sc(desired);
   }
-  sim::SubTask<bool> sc(std::uint64_t desired) { return sc(-1, desired); }
-  sim::SubTask<bool> rl(int pid = -1) {
+  auto sc(std::uint64_t desired) { return sc(-1, desired); }
+  auto rl(int pid = -1) {
     assert_self(pid);
-    co_await cell_->rl();
-    co_return true;
+    return cell_->rl();
   }
-  sim::SubTask<std::uint64_t> load() {
-    const std::uint64_t value = co_await cell_->load();
-    co_return value;
-  }
-  sim::SubTask<bool> store(std::uint64_t desired) {
-    co_await cell_->store(desired);
-    co_return true;
-  }
+  auto load() { return cell_->load(); }
+  auto store(std::uint64_t desired) { return cell_->store(desired); }
 
   std::uint64_t peek_value() const { return cell_->peek_value(); }
   std::uint64_t peek_context() const { return cell_->peek_context(); }

@@ -43,7 +43,9 @@
 // BENCH_*.json; see docs/PERF.md); SimEnv frames are ordinary heap
 // allocations, fine for model checking. Algorithm bodies should still keep
 // helper-call chains shallow — at most one live Sub per nesting level —
-// because a frame is recycled only when its task is destroyed.
+// because a frame is recycled only when its task is destroyed. A helper
+// that is exactly one primitive returns the primitive's awaitable (through
+// detail::MapAwait if needed) instead of a Sub: one step, no frame.
 //
 // The full contract — memory-step semantics, the one-resume-one-step
 // invariant in SimEnv, the EagerTask rules in RtEnv, the frame-arena
@@ -68,9 +70,9 @@ namespace hi::env {
 namespace detail {
 
 /// Awaiter adapter: forwards readiness/suspension to an inner awaitable and
-/// applies `fn` to its result. Zero-allocation; PackedBins::read uses it to
-/// extract one bin from a word load without an intermediate coroutine
-/// frame.
+/// applies `fn` to its result — how single-primitive entry points (e.g.
+/// PackedBins::read, CasRllscAlg::load) skip a coroutine frame. On the eager
+/// backends the primitive ran at the call; `fn` only maps the value.
 template <typename Awaitable, typename Fn>
 struct [[nodiscard]] MapAwait {
   Awaitable inner;

@@ -6,10 +6,10 @@
 // operation on an Atomic128 word (CMPXCHG16B via -mcx16); the simulator
 // instantiation of the SAME body is core::CasRllsc. Process identities are
 // explicit small integers (0..63) supplied by the caller, exactly as the
-// paper's p_i. Every wrapper consumes its EagerTask synchronously, so the
-// coroutine frames recycle through the calling thread's FrameArena —
-// LL/SC/RL cost their atomics and zero steady-state heap allocations
-// (BENCH_rllsc.json allocs_per_op).
+// paper's p_i. The wrappers consume LL/SC/RL EagerTasks synchronously, so
+// their frames recycle through the calling thread's FrameArena; VL/Load/
+// Store have no frame (await_resume() takes the value). Zero steady-state
+// heap allocations either way (BENCH_rllsc.json allocs_per_op).
 #pragma once
 
 #include <cassert>
@@ -46,7 +46,7 @@ class RtRllsc {
   }
 
   /// VL(O): is the caller still linked?
-  bool vl(int pid) { return alg_.vl(pid).get(); }
+  bool vl(int pid) { return alg_.vl(pid).await_resume(); }
 
   /// SC(O, new): install iff the caller is linked; resets the context.
   bool sc(int pid, std::uint64_t desired) { return alg_.sc(pid, desired).get(); }
@@ -54,9 +54,9 @@ class RtRllsc {
   /// RL(O): remove the caller from the context; always succeeds.
   bool rl(int pid) { return alg_.rl(pid).get(); }
 
-  std::uint64_t load() { return alg_.load().get(); }
+  std::uint64_t load() { return alg_.load().await_resume(); }
 
-  bool store(std::uint64_t desired) { return alg_.store(desired).get(); }
+  bool store(std::uint64_t value) { return alg_.store(value).await_resume(); }
 
   /// Observer-side snapshot of the full base-object state (value, context) —
   /// the rt analogue of mem(C) for this cell. Only meaningful at quiescence

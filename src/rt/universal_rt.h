@@ -9,9 +9,9 @@
 // states ≤ 32 bits, responses ≤ 24 bits, ≤ 64 processes.
 //
 // apply() consumes the algorithm's EagerTask on the calling thread; the
-// whole helper chain underneath (cell LL/SC/RL Subs, poll Subs) recycles
-// through that thread's FrameArena, so an operation — however much helping
-// it performs — makes zero steady-state heap allocations
+// frames under it (the cells' LL/SC/RL — Load/Store/VL and the ‖-polls have
+// none) recycle through that thread's FrameArena, so an operation — however
+// much helping it performs — makes zero steady-state heap allocations
 // (tests/test_rt_alloc.cpp, BENCH_universal.json allocs_per_op).
 #pragma once
 

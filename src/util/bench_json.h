@@ -8,7 +8,8 @@
 //     "suite": "registers",
 //     "meta": {"compiler": "gcc 12.2.0", "cplusplus": 202002,
 //              "optimize": true, "assertions": false,
-//              "sanitizer": "none", "arch": "x86_64"},
+//              "sanitizer": "none", "arch": "x86_64", "host_cores": 4,
+//              "atomic128_lock_free": true},
 //     "results": [
 //       {"name": "alg2/solo_write", "threads": 1,
 //        "ops_per_sec": 12345678.9, "p50_ns": 81, "p99_ns": 204,
@@ -45,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "rt/atomic128.h"
 #include "util/alloc_probe.h"
 #include "util/stats.h"
 
@@ -68,6 +70,9 @@ struct BenchMeta {
   /// ping-pong does not exist, and the sweep is pure noise. check_bench.py
   /// reads this field to decide whether the scaling bound applies.
   unsigned host_cores = 0;
+  /// rt::Atomic128::is_lock_free(): inline CMPXCHG16B (true) or libatomic's
+  /// lock table (false) under every universal and R-LLSC row.
+  bool atomic128_lock_free = false;
 };
 
 inline const BenchMeta& bench_meta() {
@@ -110,6 +115,7 @@ inline const BenchMeta& bench_meta() {
     m.arch = "unknown";
 #endif
     m.host_cores = std::thread::hardware_concurrency();
+    m.atomic128_lock_free = rt::Atomic128{}.is_lock_free();
     return m;
   }();
   return meta;
@@ -254,11 +260,12 @@ class BenchReport {
                  "  \"meta\": {\"compiler\": \"%s\", \"cplusplus\": %ld, "
                  "\"optimize\": %s, \"assertions\": %s, "
                  "\"sanitizer\": \"%s\", \"arch\": \"%s\", "
-                 "\"host_cores\": %u},\n",
+                 "\"host_cores\": %u, \"atomic128_lock_free\": %s},\n",
                  meta.compiler.c_str(), meta.cplusplus,
                  meta.optimize ? "true" : "false",
                  meta.assertions ? "true" : "false", meta.sanitizer.c_str(),
-                 meta.arch.c_str(), meta.host_cores);
+                 meta.arch.c_str(), meta.host_cores,
+                 meta.atomic128_lock_free ? "true" : "false");
     std::fprintf(out, "  \"results\": [\n");
     for (std::size_t i = 0; i < results_.size(); ++i) {
       const BenchResult& r = results_[i];

@@ -592,21 +592,22 @@ TEST(FuzzRt, CasRllsc_LinearizableAndContextClean) {
           case spec::RllscSpec::Kind::kLL:
             return {static_cast<std::uint32_t>(cell.ll(pid).get()), true};
           case spec::RllscSpec::Kind::kVL:
-            return {0, cell.vl(pid).get()};
+            return {0, cell.vl(pid).await_resume()};
           case spec::RllscSpec::Kind::kSC:
             return {0, cell.sc(pid, op.arg).get()};
           case spec::RllscSpec::Kind::kRL:
             return {0, cell.rl(pid).get()};
           case spec::RllscSpec::Kind::kLoad:
-            return {static_cast<std::uint32_t>(cell.load().get()), true};
+            return {static_cast<std::uint32_t>(cell.load().await_resume()),
+                    true};
           default:
-            return {0, cell.store(op.arg).get()};
+            return {0, cell.store(op.arg).await_resume()};
         }
       },
       [](Alg& cell, auto& recorder) {
         recorder.run(0, spec::RllscSpec::load(0), [&] {
           return spec::RllscSpec::Resp{
-              static_cast<std::uint32_t>(cell.load().get()), true};
+              static_cast<std::uint32_t>(cell.load().await_resume()), true};
         });
       },
       [&](Alg& cell, const auto& hist, const std::vector<std::size_t>& witness,

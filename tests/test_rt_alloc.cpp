@@ -266,6 +266,63 @@ TEST(RtAllocSteadyState, LeakyUniversal) {
             }));
 }
 
+// ---- Frames per operation: which entry points mint a coroutine frame ----
+
+/// EagerTask frames minted on the calling thread while `op` runs. Every
+/// frame allocation is exactly one of a bucket hit, a fresh slab or an
+/// oversize pass-through, so the summed deltas count frames, warm or cold.
+template <typename Fn>
+std::uint64_t frames_minted(Fn op) {
+  const auto frames = [] {
+    const env::FrameArena::Stats s = env::FrameArena::local().stats();
+    return s.reuse_hits + s.fresh_slabs + s.oversize;
+  };
+  const std::uint64_t before = frames();
+  op();
+  return frames() - before;
+}
+
+env::EagerTask<std::uint64_t> one_await_task(env::RtEnv::CasCell& cell) {
+  const env::RtEnv::Word word = co_await env::RtEnv::cas_read(cell);
+  co_return word.value;
+}
+
+// Positive control for the probe: one hand-written coroutine around one
+// primitive is one frame.
+TEST(RtAllocFrames, ProbeCountsOneHandWrittenTaskAsOneFrame) {
+  env::RtEnv::CasCell cell = env::RtEnv::make_cas({}, "probe", 7);
+  std::uint64_t seen = 0;
+  EXPECT_EQ(1u, frames_minted([&] { seen = one_await_task(cell).get(); }));
+  EXPECT_EQ(7u, seen);
+}
+
+// Solo ops by pid 0 on fresh objects at n = 3. Only the Op frame and the
+// cell's looping LL/SC/RL entry points mint frames; Load, Store, VL and the
+// ‖-polls return their primitive's awaitable. Wait-free inc: Op + LL (l. 6)
+// + SC (l. 14) + LL (l. 6) + LL (l. 18) + SC (l. 20) + SC (l. 21) + LL
+// (l. 25) + RL (l. 27) = 9, whichever cell line 8 helps. Combining inc:
+// Op + LL (l. 6) + SC (batch) + RL (l. 27) = 4. Read: Op = 1. With every
+// entry point a Sub coroutine the same ops minted 17, then 18 once the
+// rotated priority adds the line-11 Load, / 14 / 2.
+TEST(RtAllocFrames, SoloUniversalOpsMintOnlyLoopingFrames) {
+  const spec::CounterSpec spec(0xffffff, 0);
+  rt::RtUniversal<spec::CounterSpec> wait_free(spec, 3);
+  rt::RtUniversal<spec::CounterSpec> combining(spec, 3, true, true);
+  // First inc: line 8 finds pid 0's own op; second: pid 1's cell is ⊥.
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(9u, frames_minted([&] {
+                (void)wait_free.apply(0, spec::CounterSpec::inc());
+              }))
+        << "round " << round;
+  }
+  EXPECT_EQ(4u, frames_minted([&] {
+              (void)combining.apply(0, spec::CounterSpec::inc());
+            }));
+  EXPECT_EQ(1u, frames_minted([&] {
+              (void)wait_free.apply(0, spec::CounterSpec::read());
+            }));
+}
+
 // ---- SimEnv exemption: suspending frames are heap-backed BY DESIGN ----
 
 // docs/ENV.md "SimEnv: allocation contract": the steady-state

@@ -70,6 +70,11 @@ def check_schema(suite, doc):
                     "sanitizer", "arch"):
             if key not in doc["meta"]:
                 errors.append(f"meta missing {key!r}")
+        # Optional: artifacts recorded before the field existed stay valid.
+        lock_free = doc["meta"].get("atomic128_lock_free")
+        if lock_free is not None and not isinstance(lock_free, bool):
+            errors.append("meta atomic128_lock_free must be a boolean, got "
+                          f"{lock_free!r}")
     results = doc.get("results")
     if not isinstance(results, list) or not results:
         errors.append("results must be a non-empty list")
@@ -421,6 +426,15 @@ def self_test():
     del bare_meta["meta"]["sanitizer"]
     expect(check_schema("registers", bare_meta),
            "schema rejects meta without provenance fields")
+    lock_free = _synthetic_doc("universal", [_synthetic_row("inc/1")])
+    lock_free["meta"]["atomic128_lock_free"] = True
+    reread = json.loads(json.dumps(lock_free))
+    expect(not check_schema("universal", reread)
+           and reread["meta"]["atomic128_lock_free"] is True,
+           "schema accepts meta.atomic128_lock_free and it round-trips")
+    reread["meta"]["atomic128_lock_free"] = "yes"
+    expect(check_schema("universal", reread),
+           "schema rejects a non-boolean meta.atomic128_lock_free")
 
     # Alloc gate.
     expect(not check_alloc_gate(good),
