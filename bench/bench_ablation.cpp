@@ -14,7 +14,8 @@
 #include <thread>
 #include <vector>
 
-#include "rt/registers_rt.h"
+#include "algo/registers.h"
+#include "env/rt_env.h"
 #include "rt/universal_rt.h"
 #include "spec/counter_spec.h"
 
@@ -90,14 +91,15 @@ void print_hi_verdicts() {
   }
 
   std::printf("\n=== ablation (b): Algorithm 2's upward clearing ===\n");
-  rt::RtLockFreeHiRegister with_clear(4);
-  with_clear.write(3);
-  with_clear.write(1);
-  const auto canonical = with_clear.memory_image();
-  rt::RtVidyasankarRegister without_clear(4);  // = Alg 2 minus the up-clear
-  without_clear.write(3);
-  without_clear.write(1);
-  const auto leaky = without_clear.memory_image();
+  algo::LockFreeHiAlgPacked<env::RtEnv> with_clear({}, 4, 1);
+  // Alg 1 = Alg 2 minus the up-clear.
+  algo::VidyasankarAlgPacked<env::RtEnv> without_clear({}, 4, 1);
+  for (const std::uint32_t v : {3u, 1u}) {
+    (void)with_clear.write(v).get();
+    (void)without_clear.write(v).get();
+  }
+  const auto canonical = algo::memory_image(with_clear);
+  const auto leaky = algo::memory_image(without_clear);
   auto show = [](const char* label, const std::vector<std::uint8_t>& img) {
     std::printf("  %-22s A = [", label);
     for (std::size_t i = 0; i < img.size(); ++i) {

@@ -1,4 +1,4 @@
-// §5.1 perfect-HI set on hardware (RtHiSet, the RtEnv instantiation of
+// §5.1 perfect-HI set on hardware (the RtEnv instantiation of
 // algo/hi_set.h): every operation is a single seq_cst atomic access to one
 // cache-line-padded binary cell, so this workload measures the raw cost of
 // the perfect-HI discipline — and how it scales when multiple threads hit
@@ -10,7 +10,8 @@
 
 #include <cstdint>
 
-#include "rt/hi_set_rt.h"
+#include "algo/hi_set.h"
+#include "env/rt_env.h"
 #include "util/bench_json.h"
 
 namespace hi {
@@ -18,9 +19,12 @@ namespace {
 
 constexpr std::uint32_t kDomain = 64;
 
+using HiSet = algo::HiSetAlgPacked<env::RtEnv>;
+using HiSetPadded = algo::HiSetAlgPadded<env::RtEnv>;
+
 void BM_InsertRemove(benchmark::State& state) {
-  static rt::RtHiSet* set = nullptr;
-  if (state.thread_index() == 0) set = new rt::RtHiSet(kDomain);
+  static HiSet* set = nullptr;
+  if (state.thread_index() == 0) set = new HiSet({}, kDomain, 0);
   // Each thread toggles its own stripe of elements: disjoint cache lines,
   // the embarrassingly-parallel case the padded layout is built for.
   const std::uint32_t base =
@@ -28,8 +32,8 @@ void BM_InsertRemove(benchmark::State& state) {
   std::uint32_t i = 0;
   for (auto _ : state) {
     const std::uint32_t v = base + (i++ % 8) + 1;
-    benchmark::DoNotOptimize(set->insert(v));
-    benchmark::DoNotOptimize(set->remove(v));
+    benchmark::DoNotOptimize(set->insert(v).get());
+    benchmark::DoNotOptimize(set->remove(v).get());
   }
   state.SetItemsProcessed(2 * state.iterations());
   if (state.thread_index() == 0) {
@@ -42,13 +46,13 @@ BENCHMARK(BM_InsertRemove)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)->UseRealTime();
 
 void BM_Lookup(benchmark::State& state) {
-  static rt::RtHiSet* set = nullptr;
+  static HiSet* set = nullptr;
   if (state.thread_index() == 0) {
-    set = new rt::RtHiSet(kDomain, /*initial_bits=*/0x5555555555555555ull);
+    set = new HiSet({}, kDomain, /*initial_bits=*/0x5555555555555555ull);
   }
   std::uint32_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(set->lookup((i++ % kDomain) + 1));
+    benchmark::DoNotOptimize(set->lookup((i++ % kDomain) + 1).get());
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
@@ -79,18 +83,18 @@ void emit_bench_json() {
             const std::uint32_t v =
                 ((static_cast<std::uint32_t>(tid) * 8) +
                  (static_cast<std::uint32_t>(i) % 8)) % domain + 1;
-            benchmark::DoNotOptimize(set.insert(v));
-            benchmark::DoNotOptimize(set.remove(v));
+            benchmark::DoNotOptimize(set.insert(v).get());
+            benchmark::DoNotOptimize(set.remove(v).get());
           });
       result.bytes_per_object = set.memory_bytes();
       report.add(std::move(result));
     }
   };
-  insert_remove_rows("insert_remove", [] { return rt::RtHiSet(kDomain); },
+  insert_remove_rows("insert_remove", [] { return HiSet({}, kDomain, 0); },
                      kDomain);
   insert_remove_rows("insert_remove_padded",
-                     [] { return rt::RtHiSetPadded(kDomain); }, kDomain);
-  insert_remove_rows("insert_remove/d16", [] { return rt::RtHiSet(16); }, 16);
+                     [] { return HiSetPadded({}, kDomain, 0); }, kDomain);
+  insert_remove_rows("insert_remove/d16", [] { return HiSet({}, 16, 0); }, 16);
 
   const auto lookup_row = [&report](const char* name, auto make_set,
                                     std::uint32_t domain) {
@@ -98,16 +102,16 @@ void emit_bench_json() {
     auto result = util::measure_throughput(
         name, 1, 200'000, [&set, domain](int, std::size_t i) {
           benchmark::DoNotOptimize(
-              set.lookup(static_cast<std::uint32_t>(i % domain) + 1));
+              set.lookup(static_cast<std::uint32_t>(i % domain) + 1).get());
         });
     result.bytes_per_object = set.memory_bytes();
     report.add(std::move(result));
   };
   lookup_row("lookup",
-             [] { return rt::RtHiSet(kDomain, 0x5555555555555555ull); },
+             [] { return HiSet({}, kDomain, 0x5555555555555555ull); },
              kDomain);
   lookup_row("lookup_padded",
-             [] { return rt::RtHiSetPadded(kDomain, 0x5555555555555555ull); },
+             [] { return HiSetPadded({}, kDomain, 0x5555555555555555ull); },
              kDomain);
   report.write();
 }

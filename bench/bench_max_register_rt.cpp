@@ -1,4 +1,4 @@
-// §5.1 max register on hardware (RtMaxRegister, the RtEnv instantiation of
+// §5.1 max register on hardware (the RtEnv instantiation of
 // algo/max_register.h): per-operation cost of the monotone-write register.
 // ReadMax costs O(m) binary-register reads (m = current maximum), WriteMax
 // is O(v) on a ramp and ZERO atomics when absorbed — the absorb fast-path is
@@ -11,23 +11,28 @@
 
 #include <cstdint>
 
-#include "rt/max_register_rt.h"
+#include "algo/max_register.h"
+#include "env/rt_env.h"
 #include "util/bench_json.h"
 
 namespace hi {
 namespace {
 
 constexpr std::uint32_t kValues = 64;
+constexpr int kWriter = 0;
+constexpr int kReader = 1;
+
+using MaxRegister = algo::HiMaxRegisterAlgPacked<env::RtEnv>;
 
 void BM_ReadMax(benchmark::State& state) {
   // Reader throughput at a fixed maximum (mid-range scan length).
-  static rt::RtMaxRegister* reg = nullptr;
+  static MaxRegister* reg = nullptr;
   if (state.thread_index() == 0) {
-    reg = new rt::RtMaxRegister(kValues, 1, /*writer_pid=*/0, /*reader_pid=*/1);
-    reg->write_max(kValues / 2);
+    reg = new MaxRegister({}, kValues, 1, kWriter, kReader);
+    (void)reg->write_max(kWriter, kValues / 2).get();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(reg->read_max());
+    benchmark::DoNotOptimize(reg->read_max(kReader).get());
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
@@ -40,13 +45,13 @@ BENCHMARK(BM_ReadMax)->Name("read_max")->Threads(1)->UseRealTime();
 void BM_AbsorbedWrite(benchmark::State& state) {
   // The maximum is already K: every WriteMax(1) is absorbed writer-locally
   // with zero shared-memory accesses.
-  static rt::RtMaxRegister* reg = nullptr;
+  static MaxRegister* reg = nullptr;
   if (state.thread_index() == 0) {
-    reg = new rt::RtMaxRegister(kValues);
-    reg->write_max(kValues);
+    reg = new MaxRegister({}, kValues, 1, kWriter, kReader);
+    (void)reg->write_max(kWriter, kValues).get();
   }
   for (auto _ : state) {
-    reg->write_max(1);
+    (void)reg->write_max(kWriter, 1).get();
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
@@ -66,41 +71,50 @@ void emit_bench_json() {
   const auto read_row = [&report](const char* name, auto make_reg,
                                   std::uint32_t k, std::size_t ops) {
     auto reg = make_reg();
-    reg.write_max(k / 2);
+    (void)reg.write_max(kWriter, k / 2).get();
     auto result = util::measure_throughput(
-        name, 1, ops,
-        [&reg](int, std::size_t) { benchmark::DoNotOptimize(reg.read_max()); });
+        name, 1, ops, [&reg](int, std::size_t) {
+          benchmark::DoNotOptimize(reg.read_max(kReader).get());
+        });
     result.bytes_per_object = reg.memory_bytes();
     report.add(std::move(result));
   };
-  read_row("read_max", [] { return rt::RtMaxRegister(kValues, 1); }, kValues,
-           200'000);
+  read_row("read_max",
+           [] { return MaxRegister({}, kValues, 1, kWriter, kReader); },
+           kValues, 200'000);
   for (const std::uint32_t k : {16u, 256u, 1024u}) {
     const std::string name = "read_max/K" + std::to_string(k);
-    read_row(name.c_str(), [k] { return rt::RtMaxRegister(k, 1); }, k,
+    read_row(name.c_str(),
+             [k] { return MaxRegister({}, k, 1, kWriter, kReader); }, k,
              k >= 1024 ? 50'000 : 200'000);
   }
   read_row("read_max_padded/K1024",
-           [] { return rt::RtMaxRegisterPadded(1024, 1); }, 1024, 20'000);
+           [] {
+             return algo::HiMaxRegisterAlgPadded<env::RtEnv>(
+                 {}, 1024, 1, kWriter, kReader);
+           },
+           1024, 20'000);
   {
-    rt::RtMaxRegister reg(kValues);
-    reg.write_max(kValues);
+    MaxRegister reg({}, kValues, 1, kWriter, kReader);
+    (void)reg.write_max(kWriter, kValues).get();
     auto result = util::measure_throughput(
         "absorbed_write", 1, 200'000,
-        [&reg](int, std::size_t) { reg.write_max(1); });
+        [&reg](int, std::size_t) { (void)reg.write_max(kWriter, 1).get(); });
     result.bytes_per_object = reg.memory_bytes();
     report.add(std::move(result));
   }
   {
     // SWSR under contention: thread 0 writes a slowly rising maximum,
     // thread 1 reads concurrently.
-    rt::RtMaxRegister reg(kValues, 1, /*writer_pid=*/0, /*reader_pid=*/1);
+    MaxRegister reg({}, kValues, 1, kWriter, kReader);
     auto result = util::measure_throughput(
         "swsr_mixed", 2, 100'000, [&reg](int tid, std::size_t i) {
           if (tid == 0) {
-            reg.write_max(static_cast<std::uint32_t>(i % kValues) + 1);
+            (void)reg
+                .write_max(kWriter, static_cast<std::uint32_t>(i % kValues) + 1)
+                .get();
           } else {
-            benchmark::DoNotOptimize(reg.read_max());
+            benchmark::DoNotOptimize(reg.read_max(kReader).get());
           }
         });
     result.bytes_per_object = reg.memory_bytes();

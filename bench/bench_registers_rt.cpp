@@ -15,7 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "rt/registers_rt.h"
+#include "algo/registers.h"
+#include "env/rt_env.h"
 #include "util/bench_json.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -25,32 +26,36 @@ namespace {
 
 constexpr std::uint32_t kValues = 16;
 
+using Alg1 = algo::VidyasankarAlgPacked<env::RtEnv>;
+using Alg2 = algo::LockFreeHiAlgPacked<env::RtEnv>;
+using Alg4 = algo::WaitFreeHiAlgPacked<env::RtEnv>;
+
 template <typename Reg>
 void BM_SoloWrite(benchmark::State& state) {
-  Reg reg(kValues);
+  Reg reg({}, kValues, 1);
   util::Xoshiro256 rng(1);
   for (auto _ : state) {
-    reg.write(static_cast<std::uint32_t>(rng.next_in(1, kValues)));
+    (void)reg.write(static_cast<std::uint32_t>(rng.next_in(1, kValues))).get();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SoloWrite<rt::RtVidyasankarRegister>)->Name("alg1/solo_write");
-BENCHMARK(BM_SoloWrite<rt::RtLockFreeHiRegister>)->Name("alg2/solo_write");
-BENCHMARK(BM_SoloWrite<rt::RtWaitFreeHiRegister>)->Name("alg4/solo_write");
+BENCHMARK(BM_SoloWrite<Alg1>)->Name("alg1/solo_write");
+BENCHMARK(BM_SoloWrite<Alg2>)->Name("alg2/solo_write");
+BENCHMARK(BM_SoloWrite<Alg4>)->Name("alg4/solo_write");
 
 void BM_SoloReadAlg1(benchmark::State& state) {
-  rt::RtVidyasankarRegister reg(kValues, kValues / 2);
-  for (auto _ : state) benchmark::DoNotOptimize(reg.read());
+  Alg1 reg({}, kValues, kValues / 2);
+  for (auto _ : state) benchmark::DoNotOptimize(reg.read().get());
   state.SetItemsProcessed(state.iterations());
 }
 void BM_SoloReadAlg2(benchmark::State& state) {
-  rt::RtLockFreeHiRegister reg(kValues, kValues / 2);
-  for (auto _ : state) benchmark::DoNotOptimize(reg.read());
+  Alg2 reg({}, kValues, kValues / 2);
+  for (auto _ : state) benchmark::DoNotOptimize(reg.read_bounded(0).get());
   state.SetItemsProcessed(state.iterations());
 }
 void BM_SoloReadAlg4(benchmark::State& state) {
-  rt::RtWaitFreeHiRegister reg(kValues, kValues / 2);
-  for (auto _ : state) benchmark::DoNotOptimize(reg.read());
+  Alg4 reg({}, kValues, kValues / 2);
+  for (auto _ : state) benchmark::DoNotOptimize(reg.read().get());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SoloReadAlg1)->Name("alg1/solo_read");
@@ -64,21 +69,22 @@ void contended(benchmark::State& state) {
   static std::atomic<bool>* stop = nullptr;
   static std::thread* reader = nullptr;
   if (state.thread_index() == 0) {
-    reg = new Reg(kValues);
+    reg = new Reg({}, kValues, 1);
     stop = new std::atomic<bool>{false};
     reader = new std::thread([&] {
       while (!stop->load(std::memory_order_acquire)) {
-        if constexpr (requires { reg->read(std::uint64_t{1}); }) {
-          benchmark::DoNotOptimize(reg->read(1000));
+        if constexpr (requires { reg->read_bounded(1); }) {
+          benchmark::DoNotOptimize(reg->read_bounded(1000).get());
         } else {
-          benchmark::DoNotOptimize(reg->read());
+          benchmark::DoNotOptimize(reg->read().get());
         }
       }
     });
   }
   util::Xoshiro256 rng(2);
   for (auto _ : state) {
-    reg->write(static_cast<std::uint32_t>(rng.next_in(1, kValues)));
+    (void)reg->write(static_cast<std::uint32_t>(rng.next_in(1, kValues)))
+        .get();
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
@@ -90,9 +96,9 @@ void contended(benchmark::State& state) {
     reg = nullptr;
   }
 }
-BENCHMARK(contended<rt::RtVidyasankarRegister>)->Name("alg1/contended_write");
-BENCHMARK(contended<rt::RtLockFreeHiRegister>)->Name("alg2/contended_write");
-BENCHMARK(contended<rt::RtWaitFreeHiRegister>)->Name("alg4/contended_write");
+BENCHMARK(contended<Alg1>)->Name("alg1/contended_write");
+BENCHMARK(contended<Alg2>)->Name("alg2/contended_write");
+BENCHMARK(contended<Alg4>)->Name("alg4/contended_write");
 
 // ---- Progress-shape section: read attempts under a hot writer ----
 
@@ -106,12 +112,13 @@ void print_attempt_distribution() {
       "Algorithm 4: reads always complete (wait-free, helped via B).\n\n",
       kValues);
   {
-    rt::RtLockFreeHiRegisterPadded reg(kValues);
+    algo::LockFreeHiAlgPadded<env::RtEnv> reg({}, kValues, 1);
     std::atomic<bool> stop{false};
     std::thread writer([&] {
       util::Xoshiro256 rng(3);
       while (!stop.load(std::memory_order_acquire)) {
-        reg.write(static_cast<std::uint32_t>(rng.next_in(1, kValues)));
+        (void)reg.write(static_cast<std::uint32_t>(rng.next_in(1, kValues)))
+            .get();
       }
     });
     util::Samples attempts;
@@ -120,7 +127,7 @@ void print_attempt_distribution() {
       std::uint64_t tries = 0;
       for (;;) {
         ++tries;
-        if (reg.read(1).has_value()) break;
+        if (reg.read_bounded(1).get().has_value()) break;
         if (tries >= 10000) {  // declare starved for reporting purposes
           ++failures;
           break;
@@ -139,18 +146,19 @@ void print_attempt_distribution() {
         static_cast<unsigned long long>(failures));
   }
   {
-    rt::RtWaitFreeHiRegister reg(kValues);
+    Alg4 reg({}, kValues, 1);
     std::atomic<bool> stop{false};
     std::thread writer([&] {
       util::Xoshiro256 rng(4);
       while (!stop.load(std::memory_order_acquire)) {
-        reg.write(static_cast<std::uint32_t>(rng.next_in(1, kValues)));
+        (void)reg.write(static_cast<std::uint32_t>(rng.next_in(1, kValues)))
+            .get();
       }
     });
     util::Samples latency;
     for (int i = 0; i < 20000; ++i) {
       const auto start = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(reg.read());
+      benchmark::DoNotOptimize(reg.read().get());
       const auto end = std::chrono::steady_clock::now();
       latency.add(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
@@ -182,32 +190,29 @@ void emit_bench_json() {
     auto result = util::measure_throughput(
         name, 1, ops, [&](int, std::size_t) {
           if (reads) {
-            if constexpr (requires { reg.read(std::uint64_t{1}); }) {
-              benchmark::DoNotOptimize(reg.read(/*max_attempts=*/1));
+            if constexpr (requires { reg.read_bounded(1); }) {
+              benchmark::DoNotOptimize(
+                  reg.read_bounded(/*max_attempts=*/1).get());
             } else {
-              benchmark::DoNotOptimize(reg.read());
+              benchmark::DoNotOptimize(reg.read().get());
             }
           } else {
-            reg.write(static_cast<std::uint32_t>(rng.next_in(1, k)));
+            (void)reg.write(static_cast<std::uint32_t>(rng.next_in(1, k)))
+                .get();
           }
         });
     result.bytes_per_object = reg.memory_bytes();
     report.add(std::move(result));
   };
-  solo("alg1/solo_write",
-       [] { return rt::RtVidyasankarRegister(kValues, kValues / 2); },
+  solo("alg1/solo_write", [] { return Alg1({}, kValues, kValues / 2); },
        kValues, false);
-  solo("alg2/solo_write",
-       [] { return rt::RtLockFreeHiRegister(kValues, kValues / 2); },
+  solo("alg2/solo_write", [] { return Alg2({}, kValues, kValues / 2); },
        kValues, false);
-  solo("alg4/solo_write",
-       [] { return rt::RtWaitFreeHiRegister(kValues, kValues / 2); },
+  solo("alg4/solo_write", [] { return Alg4({}, kValues, kValues / 2); },
        kValues, false);
-  solo("alg1/solo_read",
-       [] { return rt::RtVidyasankarRegister(kValues, kValues / 2); },
+  solo("alg1/solo_read", [] { return Alg1({}, kValues, kValues / 2); },
        kValues, true);
-  solo("alg4/solo_read",
-       [] { return rt::RtWaitFreeHiRegister(kValues, kValues / 2); },
+  solo("alg4/solo_read", [] { return Alg4({}, kValues, kValues / 2); },
        kValues, true);
 
   // ---- large-domain scaling: packed rows at K ∈ {16, 256, 1024}, plus
@@ -216,30 +221,31 @@ void emit_bench_json() {
   for (const std::uint32_t k : {16u, 256u, 1024u}) {
     const std::string suffix = "/K" + std::to_string(k);
     solo(("alg2/solo_read" + suffix).c_str(),
-         [k] { return rt::RtLockFreeHiRegister(k, k / 2); }, k, true,
+         [k] { return Alg2({}, k, k / 2); }, k, true,
          k >= 1024 ? 50'000 : 100'000);
     solo(("alg2/solo_write" + suffix).c_str(),
-         [k] { return rt::RtLockFreeHiRegister(k, k / 2); }, k, false,
+         [k] { return Alg2({}, k, k / 2); }, k, false,
          k >= 1024 ? 50'000 : 100'000);
   }
+  using Alg2Padded = algo::LockFreeHiAlgPadded<env::RtEnv>;
   solo("alg2_padded/solo_read/K1024",
-       [] { return rt::RtLockFreeHiRegisterPadded(1024, 512); }, 1024, true,
-       20'000);
+       [] { return Alg2Padded({}, 1024, 512); }, 1024, true, 20'000);
   solo("alg2_padded/solo_write/K1024",
-       [] { return rt::RtLockFreeHiRegisterPadded(1024, 512); }, 1024, false,
-       20'000);
+       [] { return Alg2Padded({}, 1024, 512); }, 1024, false, 20'000);
 
   {
     // SWSR under genuine concurrency: tid 0 writes, tid 1 reads (Alg 4's
     // wait-free reader never blocks, so both sides are unconditional).
-    rt::RtWaitFreeHiRegister reg(kValues);
+    Alg4 reg({}, kValues, 1);
     util::Xoshiro256 rng(10);
     auto result = util::measure_throughput(
         "alg4/swsr_mixed", 2, 50'000, [&](int tid, std::size_t) {
           if (tid == 0) {
-            reg.write(static_cast<std::uint32_t>(rng.next_in(1, kValues)));
+            (void)reg
+                .write(static_cast<std::uint32_t>(rng.next_in(1, kValues)))
+                .get();
           } else {
-            benchmark::DoNotOptimize(reg.read());
+            benchmark::DoNotOptimize(reg.read().get());
           }
         });
     result.bytes_per_object = reg.memory_bytes();

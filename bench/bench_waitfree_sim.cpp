@@ -3,8 +3,10 @@
 // hardware next to an algorithm that is wait-free by construction?
 //
 // Rows in BENCH_waitfree_sim.json (every row carries slow_path_entry_rate):
-//   wfs/*   — rt::RtWaitFreeSimHiRegister{,Padded} (combinator over Alg 2/3)
-//   alg4/*  — rt::RtWaitFreeHiRegister as the native-wait-free control
+//   wfs/*   — algo::WaitFreeSimHiAlg{Packed,Padded}<RtEnv> (combinator over
+//             Alg 2/3)
+//   alg4/*  — algo::WaitFreeHiAlg{Packed,Padded}<RtEnv> as the
+//             native-wait-free control
 //             (rate pinned 0.0: Alg 4 has no announce/enqueue/help machinery)
 // The solo wfs rows run the pure fast path (rate 0 — uncontended attempts
 // never fail); wfs/forced_slow_read sets fast_limit=0 so EVERY read takes
@@ -25,14 +27,16 @@
 //
 // allocs_per_op must be 0 in steady state on every row — the slow path's
 // coroutine chain (announce, enqueue, help) recycles through the per-thread
-// FrameArena exactly like the fast path (see rt/wait_free_sim_rt.h).
+// FrameArena exactly like the fast path (tests/test_rt_alloc.cpp pins both
+// paths at zero).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <string>
 
-#include "rt/registers_rt.h"
-#include "rt/wait_free_sim_rt.h"
+#include "algo/registers.h"
+#include "algo/wait_free_sim.h"
+#include "env/rt_env.h"
 #include "util/bench_json.h"
 #include "util/rng.h"
 #include "util/traffic.h"
@@ -42,6 +46,11 @@ namespace {
 
 constexpr std::uint32_t kValues = 64;        // packed: one-word snapshots
 constexpr std::uint32_t kPaddedValues = 16;  // padded: failable scans
+
+using Wfs = algo::WaitFreeSimHiAlgPacked<env::RtEnv>;
+using WfsPadded = algo::WaitFreeSimHiAlgPadded<env::RtEnv>;
+using Alg4 = algo::WaitFreeHiAlgPacked<env::RtEnv>;
+using Alg4Padded = algo::WaitFreeHiAlgPadded<env::RtEnv>;
 
 /// Measure one row; `rate` fills slow_path_entry_rate after the run (pass
 /// nullptr-like no-op for non-combinator controls, which pin 0.0).
@@ -74,32 +83,35 @@ void emit_bench_json() {
 
   // ---- solo fast path vs the native control, packed K=64 ----
   {
-    rt::RtWaitFreeSimHiRegister reg(kValues, kValues / 2);
+    Wfs reg({}, kValues, kValues / 2);
     util::Xoshiro256 rng(21);
     row(report, "wfs/solo_write", reg, 1, 100'000, [&](int, std::size_t) {
-      reg.write(static_cast<std::uint32_t>(rng.next_in(1, kValues)),
-                /*pid=*/0);
+      (void)reg
+          .write(/*pid=*/0, static_cast<std::uint32_t>(rng.next_in(1, kValues)))
+          .get();
     });
   }
   {
-    rt::RtWaitFreeSimHiRegister reg(kValues, kValues / 2);
+    Wfs reg({}, kValues, kValues / 2);
     row(report, "wfs/solo_read", reg, 1, 100'000, [&](int, std::size_t) {
-      benchmark::DoNotOptimize(reg.read(/*pid=*/1));
+      benchmark::DoNotOptimize(reg.read(/*pid=*/1).get());
     });
   }
   {
-    rt::RtWaitFreeHiRegister reg(kValues, kValues / 2);
+    Alg4 reg({}, kValues, kValues / 2);
     util::Xoshiro256 rng(22);
-    control_row(report, "alg4/solo_write", reg, 1, 100'000,
-                [&](int, std::size_t) {
-                  reg.write(
-                      static_cast<std::uint32_t>(rng.next_in(1, kValues)));
-                });
+    control_row(
+        report, "alg4/solo_write", reg, 1, 100'000, [&](int, std::size_t) {
+          (void)reg.write(static_cast<std::uint32_t>(rng.next_in(1, kValues)))
+              .get();
+        });
   }
   {
-    rt::RtWaitFreeHiRegister reg(kValues, kValues / 2);
+    Alg4 reg({}, kValues, kValues / 2);
     control_row(report, "alg4/solo_read", reg, 1, 100'000,
-                [&](int, std::size_t) { benchmark::DoNotOptimize(reg.read()); });
+                [&](int, std::size_t) {
+                  benchmark::DoNotOptimize(reg.read().get());
+                });
   }
 
   // ---- the slow path in isolation: fast_limit=0 forces every read through
@@ -107,35 +119,39 @@ void emit_bench_json() {
   // the denominator also counts the direct writes a mixed row would add,
   // so this row is read-only) ----
   {
-    rt::RtWaitFreeSimHiRegister reg(kValues, kValues / 2,
-                                    /*num_processes=*/2, /*fast_limit=*/0);
-    row(report, "wfs/forced_slow_read", reg, 1, 50'000,
-        [&](int, std::size_t) { benchmark::DoNotOptimize(reg.read(1)); });
+    Wfs reg({}, kValues, kValues / 2, /*num_processes=*/2, /*fast_limit=*/0);
+    row(report, "wfs/forced_slow_read", reg, 1, 50'000, [&](int, std::size_t) {
+      benchmark::DoNotOptimize(reg.read(1).get());
+    });
   }
 
   // ---- SWSR under genuine concurrency, padded so reads can fail ----
   {
-    rt::RtWaitFreeSimHiRegisterPadded reg(kPaddedValues, kPaddedValues / 2);
+    WfsPadded reg({}, kPaddedValues, kPaddedValues / 2);
     util::Xoshiro256 rng(23);
     row(report, "wfs/swsr_mixed", reg, 2, 50'000, [&](int tid, std::size_t) {
       if (tid == 0) {
-        reg.write(static_cast<std::uint32_t>(rng.next_in(1, kPaddedValues)),
-                  /*pid=*/0);
+        (void)reg
+            .write(/*pid=*/0,
+                   static_cast<std::uint32_t>(rng.next_in(1, kPaddedValues)))
+            .get();
       } else {
-        benchmark::DoNotOptimize(reg.read(/*pid=*/1));
+        benchmark::DoNotOptimize(reg.read(/*pid=*/1).get());
       }
     });
   }
   {
-    rt::RtWaitFreeHiRegisterPadded reg(kPaddedValues, kPaddedValues / 2);
+    Alg4Padded reg({}, kPaddedValues, kPaddedValues / 2);
     util::Xoshiro256 rng(24);
     control_row(
         report, "alg4/swsr_mixed", reg, 2, 50'000, [&](int tid, std::size_t) {
           if (tid == 0) {
-            reg.write(
-                static_cast<std::uint32_t>(rng.next_in(1, kPaddedValues)));
+            (void)reg
+                .write(
+                    static_cast<std::uint32_t>(rng.next_in(1, kPaddedValues)))
+                .get();
           } else {
-            benchmark::DoNotOptimize(reg.read());
+            benchmark::DoNotOptimize(reg.read().get());
           }
         });
   }
@@ -143,18 +159,18 @@ void emit_bench_json() {
   // ---- one writer, two helped readers: the helping machinery under the
   // contention it exists for (num_processes=3; readers share the queue) ----
   {
-    rt::RtWaitFreeSimHiRegisterPadded reg(kPaddedValues, kPaddedValues / 2,
-                                          /*num_processes=*/3,
-                                          /*fast_limit=*/1);
+    WfsPadded reg({}, kPaddedValues, kPaddedValues / 2, /*num_processes=*/3,
+                  /*fast_limit=*/1);
     util::Xoshiro256 rng(25);
     row(report, "wfs/contended_reads", reg, 3, 30'000,
         [&](int tid, std::size_t) {
           if (tid == 0) {
-            reg.write(
-                static_cast<std::uint32_t>(rng.next_in(1, kPaddedValues)),
-                /*pid=*/0);
+            (void)reg
+                .write(/*pid=*/0, static_cast<std::uint32_t>(
+                                      rng.next_in(1, kPaddedValues)))
+                .get();
           } else {
-            benchmark::DoNotOptimize(reg.read(/*pid=*/tid));
+            benchmark::DoNotOptimize(reg.read(/*pid=*/tid).get());
           }
         });
   }
@@ -167,9 +183,8 @@ void emit_bench_json() {
   // contention-scaling signal. Full percentile triple + load pair on each
   // row, like every traffic-driven row. ----
   for (const int threads : {2, 3}) {
-    rt::RtWaitFreeSimHiRegisterPadded reg(kPaddedValues, kPaddedValues / 2,
-                                          /*num_processes=*/threads,
-                                          /*fast_limit=*/1);
+    WfsPadded reg({}, kPaddedValues, kPaddedValues / 2,
+                  /*num_processes=*/threads, /*fast_limit=*/1);
     reg.reset_stats();
     util::TrafficConfig cfg;
     cfg.seed = 31 + static_cast<std::uint64_t>(threads);
@@ -177,10 +192,12 @@ void emit_bench_json() {
         threads, 30'000, cfg, {{"op", 1.0}},
         [&](int tid, std::uint32_t, std::size_t i) {
           if (tid == 0) {
-            reg.write(static_cast<std::uint32_t>(i % kPaddedValues) + 1,
-                      /*pid=*/0);
+            (void)reg
+                .write(/*pid=*/0,
+                       static_cast<std::uint32_t>(i % kPaddedValues) + 1)
+                .get();
           } else {
-            benchmark::DoNotOptimize(reg.read(/*pid=*/tid));
+            benchmark::DoNotOptimize(reg.read(/*pid=*/tid).get());
           }
         });
     const double rate =

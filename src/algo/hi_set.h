@@ -1,7 +1,8 @@
 // Wait-free perfect-HI set over {1..t} from t binary registers (§5.1),
 // written ONCE over an execution environment Env (src/env/env.h) and
-// instantiated by the simulator (src/core/hi_set.h) and by real hardware
-// (src/rt/hi_set_rt.h).
+// instantiated by the simulator (src/core/hi_set.h) and, on real hardware,
+// directly as HiSetAlgPacked<env::RtEnv> (the packed layout: a 64-element
+// set is one atomic word whose value is the membership bitmap).
 //
 // The set is the paper's example of an object escaping class C_t despite
 // having 2^t states: its operations return only success/failure, so no
@@ -26,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "algo/values.h"
 #include "env/env.h"
 
 namespace hi::algo {

@@ -1,7 +1,9 @@
 // Wait-free state-quiescent-HI max register from binary registers (§5.1),
 // written ONCE over an execution environment Env (src/env/env.h) and
-// instantiated by the simulator (src/core/max_register.h) and by real
-// hardware (src/rt/max_register_rt.h).
+// instantiated by the simulator (src/core/max_register.h) and, on real
+// hardware, directly as HiMaxRegisterAlgPacked<env::RtEnv> (the packed
+// layout: a K=1024 max register is 2 cache lines and ReadMax costs O(m/64)
+// word loads).
 //
 // The paper uses the max register to illustrate the state-connectivity
 // requirement of class C_t: its state graph is not strongly connected (once
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "algo/values.h"
 #include "env/env.h"
 
 namespace hi::algo {

@@ -2,7 +2,15 @@
 // environment Env (src/env/env.h) and a bin-array layout policy Bins
 // (env::PaddedBins / env::PackedBins — see env.h's layout commentary), and
 // instantiated by both the simulator (src/core — exhaustive interleaving +
-// HI checking) and real hardware (src/rt — stress tests and benchmarks).
+// HI checking) and real hardware: the rt stress tests and benchmarks drive
+// e.g. LockFreeHiAlgPacked<env::RtEnv> directly, one `alg.op(…).get()` per
+// operation. On hardware the packed layout is the default (a K=1024
+// register is 2 cache lines instead of 64 KiB); the padded aliases stay
+// instantiable for the layout-comparison bench rows (docs/PERF.md). Each
+// `.get()` consumes the EagerTask on the calling thread, so every frame,
+// the scan Sub frames included, recycles through that thread's FrameArena:
+// steady-state reads and writes make zero heap allocations
+// (tests/test_rt_alloc.cpp, BENCH_registers.json allocs_per_op).
 //
 //   VidyasankarAlg  — Algorithm 1 [46]: wait-free, NOT history independent.
 //                     Write(v) sets A[v] and clears only *downwards*, so the
@@ -48,6 +56,7 @@
 #include <optional>
 #include <vector>
 
+#include "algo/values.h"
 #include "env/env.h"
 
 namespace hi::algo {

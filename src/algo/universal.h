@@ -467,10 +467,6 @@ class UniversalAlg {
     for (const auto& c : ops_combined_) total += *c;
     return total;
   }
-  void reset_batch_stats() {
-    for (auto& c : batches_installed_) *c = 0;
-    for (auto& c : ops_combined_) *c = 0;
-  }
   bool combining_enabled() const { return combine_; }
 
   bool is_lock_free() const { return head_.is_lock_free(); }

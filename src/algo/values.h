@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace hi::algo {
 
@@ -36,5 +37,17 @@ struct CasResult {
 
   friend bool operator==(const CasResult&, const CasResult&) = default;
 };
+
+/// Observer-side memory image of an algorithm body: the bytes its
+/// encode_memory() appends (one per bin, then any 8-byte LE words), never a
+/// step of the model. On RtEnv these are the abstract bins in every layout,
+/// so they match the simulator's image after identical operation sequences
+/// (tests/test_env_parity.cpp).
+template <typename Obj>
+std::vector<std::uint8_t> memory_image(const Obj& obj) {
+  std::vector<std::uint8_t> image;
+  obj.encode_memory(image);
+  return image;
+}
 
 }  // namespace hi::algo

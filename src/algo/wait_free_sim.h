@@ -478,6 +478,10 @@ class NormalizedHiRegister {
 /// SWSR register whose reads are helped slow-path operations and whose
 /// writes run direct (helping first). The Thm 17 price: NOT state-quiescent
 /// HI — the records and queue counters persist (see the file comment).
+/// On RtEnv every combinator Sub is consumed on the calling thread, so the
+/// slow path recycles its frames through the FrameArena like the fast path:
+/// zero steady-state heap allocations even when every read is helped
+/// (tests/test_rt_alloc.cpp).
 template <typename Env, typename Bins>
 class WaitFreeSimHiAlg {
  public:

@@ -20,23 +20,19 @@
 
 namespace hi::baseline {
 
-/// Spec-driven harness wrapper over the scheduler-driven backend
-/// (Env = SimEnv; the alias below pins it).
-template <typename Env>
-class BasicStrawmanQueue {
+/// Spec-driven harness wrapper over the scheduler-driven backend.
+class StrawmanQueue {
  public:
   using Op = spec::QueueSpec::Op;
   using Resp = spec::QueueSpec::Resp;
-  template <typename T>
-  using OpTask = typename Env::template Op<T>;
 
-  BasicStrawmanQueue(typename Env::Ctx ctx, const spec::QueueSpec& spec,
-                     int changer_pid, int reader_pid)
-      : alg_(ctx, spec.domain(), spec.capacity()),
+  StrawmanQueue(sim::Memory& memory, const spec::QueueSpec& spec,
+                int changer_pid, int reader_pid)
+      : alg_(memory, spec.domain(), spec.capacity()),
         changer_pid_(changer_pid),
         reader_pid_(reader_pid) {}
 
-  OpTask<Resp> apply(int pid, Op op) {
+  sim::OpTask<Resp> apply(int pid, Op op) {
     switch (op.kind) {
       case spec::QueueSpec::Kind::kPeek: return peek(pid);
       case spec::QueueSpec::Kind::kEnqueue: return enqueue(pid, op.value);
@@ -46,30 +42,28 @@ class BasicStrawmanQueue {
   }
 
   /// Peek: retry-scan F for the one-hot front bit. Lock-free only.
-  OpTask<Resp> peek(int pid) {
+  sim::OpTask<Resp> peek(int pid) {
     assert(pid == reader_pid_);
     (void)pid;
     return alg_.peek();
   }
 
-  OpTask<Resp> enqueue(int pid, std::uint8_t value) {
+  sim::OpTask<Resp> enqueue(int pid, std::uint8_t value) {
     assert(pid == changer_pid_);
     (void)pid;
     return alg_.enqueue(value);
   }
 
-  OpTask<Resp> dequeue(int pid) {
+  sim::OpTask<Resp> dequeue(int pid) {
     assert(pid == changer_pid_);
     (void)pid;
     return alg_.dequeue();
   }
 
  private:
-  algo::StrawmanQueueAlg<Env> alg_;
+  algo::StrawmanQueueAlg<env::SimEnv> alg_;
   int changer_pid_;
   int reader_pid_;
 };
-
-using StrawmanQueue = BasicStrawmanQueue<env::SimEnv>;
 
 }  // namespace hi::baseline

@@ -4,8 +4,8 @@
 // Single-source: the algorithm body lives in algo/hi_set.h (HiSetAlg),
 // templated over the execution environment; this file pins the environment
 // to SimEnv, preserving the seed interface (the spec supplies the domain and
-// the initial membership bitmap). The hardware instantiation of the SAME
-// body is rt::RtHiSet.
+// the initial membership bitmap). On hardware the SAME body runs as
+// algo::HiSetAlgPacked<env::RtEnv>.
 #pragma once
 
 #include "algo/hi_set.h"
@@ -16,22 +16,21 @@
 
 namespace hi::core {
 
-/// Spec-driven harness wrapper over the scheduler-driven backend
-/// (Env = SimEnv; the aliases below pin it).
+/// Spec-driven harness wrapper over the scheduler-driven backend.
 /// `Bins` selects the bin-array layout (padded-per-bit default preserves
 /// the paper's per-element cells; env::PackedBins makes the whole set one
 /// word whose value is the membership bitmap).
-template <typename Env, typename Bins = env::PaddedBins<Env>>
-class BasicHiSet : public algo::HiSetAlg<Env, Bins> {
+template <typename Bins = env::PaddedBins<env::SimEnv>>
+class BasicHiSet : public algo::HiSetAlg<env::SimEnv, Bins> {
  public:
-  using Base = algo::HiSetAlg<Env, Bins>;
+  using Base = algo::HiSetAlg<env::SimEnv, Bins>;
   using Op = spec::SetSpec::Op;
   using Resp = spec::SetSpec::Resp;
 
-  BasicHiSet(typename Env::Ctx ctx, const spec::SetSpec& spec)
-      : Base(ctx, spec.domain(), spec.initial_state()) {}
+  BasicHiSet(sim::Memory& memory, const spec::SetSpec& spec)
+      : Base(memory, spec.domain(), spec.initial_state()) {}
 
-  typename Env::template Op<Resp> apply(int pid, Op op) {
+  sim::OpTask<Resp> apply(int pid, Op op) {
     (void)pid;  // fully symmetric: any process may invoke anything
     switch (op.kind) {
       case spec::SetSpec::Kind::kInsert: return this->insert(op.value);
@@ -42,7 +41,7 @@ class BasicHiSet : public algo::HiSetAlg<Env, Bins> {
   }
 };
 
-using HiSet = BasicHiSet<env::SimEnv>;
-using PackedHiSet = BasicHiSet<env::SimEnv, env::PackedBins<env::SimEnv>>;
+using HiSet = BasicHiSet<>;
+using PackedHiSet = BasicHiSet<env::PackedBins<env::SimEnv>>;
 
 }  // namespace hi::core

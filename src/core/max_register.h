@@ -5,7 +5,8 @@
 // (HiMaxRegisterAlg), templated over the execution environment; this file
 // pins the environment to SimEnv, preserving the seed interface (the spec
 // supplies K and the initial maximum; reads and writes are pid-checked
-// SWSR). The hardware instantiation of the SAME body is rt::RtMaxRegister.
+// SWSR). On hardware the SAME body runs as
+// algo::HiMaxRegisterAlgPacked<env::RtEnv>.
 #pragma once
 
 #include "algo/max_register.h"
@@ -16,23 +17,22 @@
 
 namespace hi::core {
 
-/// Spec-driven harness wrapper over the scheduler-driven backend
-/// (Env = SimEnv; the aliases below pin it).
+/// Spec-driven harness wrapper over the scheduler-driven backend.
 /// `Bins` selects the bin-array layout (padded-per-bit default preserves
 /// the paper's primitive sequence; env::PackedBins packs 64 bins per word).
-template <typename Env, typename Bins = env::PaddedBins<Env>>
-class BasicHiMaxRegister : public algo::HiMaxRegisterAlg<Env, Bins> {
+template <typename Bins = env::PaddedBins<env::SimEnv>>
+class BasicHiMaxRegister : public algo::HiMaxRegisterAlg<env::SimEnv, Bins> {
  public:
-  using Base = algo::HiMaxRegisterAlg<Env, Bins>;
+  using Base = algo::HiMaxRegisterAlg<env::SimEnv, Bins>;
   using Op = spec::MaxRegisterSpec::Op;
   using Resp = spec::MaxRegisterSpec::Resp;
 
-  BasicHiMaxRegister(typename Env::Ctx ctx, const spec::MaxRegisterSpec& spec,
+  BasicHiMaxRegister(sim::Memory& memory, const spec::MaxRegisterSpec& spec,
                      int writer_pid, int reader_pid)
-      : Base(ctx, spec.num_values(), spec.initial_state(), writer_pid,
+      : Base(memory, spec.num_values(), spec.initial_state(), writer_pid,
              reader_pid) {}
 
-  typename Env::template Op<Resp> apply(int pid, Op op) {
+  sim::OpTask<Resp> apply(int pid, Op op) {
     if (op.kind == spec::MaxRegisterSpec::Kind::kReadMax) {
       return this->read_max(pid);
     }
@@ -40,8 +40,7 @@ class BasicHiMaxRegister : public algo::HiMaxRegisterAlg<Env, Bins> {
   }
 };
 
-using HiMaxRegister = BasicHiMaxRegister<env::SimEnv>;
-using PackedHiMaxRegister =
-    BasicHiMaxRegister<env::SimEnv, env::PackedBins<env::SimEnv>>;
+using HiMaxRegister = BasicHiMaxRegister<>;
+using PackedHiMaxRegister = BasicHiMaxRegister<env::PackedBins<env::SimEnv>>;
 
 }  // namespace hi::core

@@ -18,26 +18,25 @@
 
 namespace hi::core {
 
-/// Spec-driven harness wrapper over the scheduler-driven backend
-/// (Env = SimEnv; the aliases below pin it).
+/// Spec-driven harness wrapper over the scheduler-driven backend.
 /// The spec supplies the domain and the initial membership bitmap (one
 /// word — spec domains are ≤ 64); shard count and placement are harness
 /// parameters, letting the same spec check every sharding configuration.
-template <typename Env, typename Bins = env::PackedBins<Env>>
-class BasicShardedHiSet : public algo::ShardedHiSet<Env, Bins> {
+template <typename Bins = env::PackedBins<env::SimEnv>>
+class BasicShardedHiSet : public algo::ShardedHiSet<env::SimEnv, Bins> {
  public:
-  using Base = algo::ShardedHiSet<Env, Bins>;
+  using Base = algo::ShardedHiSet<env::SimEnv, Bins>;
   using Op = spec::SetSpec::Op;
   using Resp = spec::SetSpec::Resp;
 
-  BasicShardedHiSet(typename Env::Ctx ctx, const spec::SetSpec& spec,
+  BasicShardedHiSet(sim::Memory& memory, const spec::SetSpec& spec,
                     std::uint32_t shard_count,
                     algo::ShardPlacement placement =
                         algo::ShardPlacement::kBlocked)
-      : Base(ctx, spec.domain(), shard_count, placement,
+      : Base(memory, spec.domain(), shard_count, placement,
              spec.initial_state()) {}
 
-  typename Env::template Op<Resp> apply(int pid, Op op) {
+  sim::OpTask<Resp> apply(int pid, Op op) {
     (void)pid;  // fully symmetric: any process may invoke anything
     switch (op.kind) {
       case spec::SetSpec::Kind::kInsert: return this->insert(op.value);
@@ -48,6 +47,6 @@ class BasicShardedHiSet : public algo::ShardedHiSet<Env, Bins> {
   }
 };
 
-using ShardedHiSet = BasicShardedHiSet<env::SimEnv>;
+using ShardedHiSet = BasicShardedHiSet<>;
 
 }  // namespace hi::core

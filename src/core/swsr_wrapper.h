@@ -6,40 +6,41 @@
 #include <cassert>
 #include <cstdint>
 
+#include "env/sim_env.h"
+#include "sim/memory.h"
+#include "sim/task.h"
 #include "spec/register_spec.h"
 
 namespace hi::core {
 
 /// Spec-driven harness interface over any SWSR register algorithm
-/// `Alg<Env>` exposing read()/write(v) (Algorithms 1, 2/3 and 4). The pids
-/// fixed at construction pin the two roles (the paper's p_w and p_r); the
-/// asserts document the single-writer single-reader restriction.
-template <template <typename> class Alg, typename Env>
+/// `Alg<env::SimEnv>` exposing read()/write(v) (Algorithms 1, 2/3 and 4).
+/// The pids fixed at construction pin the two roles (the paper's p_w and
+/// p_r); the asserts document the single-writer single-reader restriction.
+template <template <typename> class Alg>
 class SwsrRegister {
  public:
   using Op = spec::RegisterSpec::Op;
   using Resp = spec::RegisterSpec::Resp;
-  template <typename T>
-  using OpTask = typename Env::template Op<T>;
 
-  SwsrRegister(typename Env::Ctx ctx, const spec::RegisterSpec& spec,
+  SwsrRegister(sim::Memory& memory, const spec::RegisterSpec& spec,
                int writer_pid, int reader_pid)
-      : alg_(ctx, spec.num_values(), spec.initial_state()),
+      : alg_(memory, spec.num_values(), spec.initial_state()),
         writer_pid_(writer_pid),
         reader_pid_(reader_pid) {}
 
-  OpTask<Resp> apply(int pid, Op op) {
+  sim::OpTask<Resp> apply(int pid, Op op) {
     if (op.kind == spec::RegisterSpec::Kind::kRead) return read(pid);
     return write(pid, op.value);
   }
 
-  OpTask<Resp> read(int pid) {
+  sim::OpTask<Resp> read(int pid) {
     assert(pid == reader_pid_);
     (void)pid;
     return alg_.read();
   }
 
-  OpTask<Resp> write(int pid, std::uint32_t value) {
+  sim::OpTask<Resp> write(int pid, std::uint32_t value) {
     assert(pid == writer_pid_);
     (void)pid;
     return alg_.write(value);
@@ -49,7 +50,7 @@ class SwsrRegister {
   int reader_pid() const { return reader_pid_; }
 
  private:
-  Alg<Env> alg_;
+  Alg<env::SimEnv> alg_;
   int writer_pid_;
   int reader_pid_;
 };

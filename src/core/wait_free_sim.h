@@ -5,8 +5,8 @@
 // Unlike SwsrRegister, this harness FORWARDS the pid into the algorithm:
 // the combinator's operation records, contention-failure streaks and
 // helped-completion accounting are all per-process, so the algorithm needs
-// to know who is running. Like the other spec harnesses it is templated
-// over Env; the core aliases below pin it to SimEnv.
+// to know who is running. Like the other spec harnesses it runs on the
+// scheduler-driven backend (env::SimEnv).
 #pragma once
 
 #include <cassert>
@@ -23,19 +23,17 @@ namespace hi::core {
 /// Spec-driven harness over the wait-free-simulated register. The fixed
 /// pids pin the paper's p_w / p_r roles; the combinator itself is sized for
 /// both processes (records + help queue entries for each).
-template <typename Env, typename Bins>
+template <typename Bins>
 class WaitFreeSimRegisterT {
  public:
   using Op = spec::RegisterSpec::Op;
   using Resp = spec::RegisterSpec::Resp;
-  using Alg = algo::WaitFreeSimHiAlg<Env, Bins>;
-  template <typename T>
-  using OpTask = typename Env::template Op<T>;
+  using Alg = algo::WaitFreeSimHiAlg<env::SimEnv, Bins>;
 
-  WaitFreeSimRegisterT(typename Env::Ctx ctx, const spec::RegisterSpec& spec,
+  WaitFreeSimRegisterT(sim::Memory& memory, const spec::RegisterSpec& spec,
                        int writer_pid, int reader_pid,
                        std::uint32_t fast_limit = 1)
-      : alg_(ctx, spec.num_values(), spec.initial_state(),
+      : alg_(memory, spec.num_values(), spec.initial_state(),
              /*num_processes=*/(writer_pid > reader_pid ? writer_pid
                                                         : reader_pid) +
                  1,
@@ -43,17 +41,17 @@ class WaitFreeSimRegisterT {
         writer_pid_(writer_pid),
         reader_pid_(reader_pid) {}
 
-  OpTask<Resp> apply(int pid, Op op) {
+  sim::OpTask<Resp> apply(int pid, Op op) {
     if (op.kind == spec::RegisterSpec::Kind::kRead) return read(pid);
     return write(pid, op.value);
   }
 
-  OpTask<Resp> read(int pid) {
+  sim::OpTask<Resp> read(int pid) {
     assert(pid == reader_pid_);
     return alg_.read(pid);
   }
 
-  OpTask<Resp> write(int pid, std::uint32_t value) {
+  sim::OpTask<Resp> write(int pid, std::uint32_t value) {
     assert(pid == writer_pid_);
     return alg_.write(pid, value);
   }
@@ -72,10 +70,10 @@ class WaitFreeSimRegisterT {
 /// Padded-per-bit inner layout: the paper-exact Alg 2/3 primitive sequence
 /// under the combinator — what the step-exact and explorer tests drive.
 using WaitFreeSimHiRegister =
-    WaitFreeSimRegisterT<env::SimEnv, env::PaddedBins<env::SimEnv>>;
+    WaitFreeSimRegisterT<env::PaddedBins<env::SimEnv>>;
 
 /// Packed inner layout (64 bins per word).
 using PackedWaitFreeSimHiRegister =
-    WaitFreeSimRegisterT<env::SimEnv, env::PackedBins<env::SimEnv>>;
+    WaitFreeSimRegisterT<env::PackedBins<env::SimEnv>>;
 
 }  // namespace hi::core

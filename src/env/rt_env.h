@@ -58,7 +58,7 @@ namespace hi::env {
 /// Lifecycle rules (docs/ENV.md "RtEnv: frame arena"):
 ///   * allocate and deallocate MUST happen on the same thread — an
 ///     EagerTask has run to completion by the time the caller holds it and
-///     is consumed synchronously by the rt wrappers, so frames never
+///     is consumed (`.get()`) on the thread that made it, so frames never
 ///     migrate; handing a live EagerTask to another thread would break
 ///     this contract (and TSan flags it — see
 ///     RtAllocChurn.MultiThreadArenaBalance in tests/test_rt_alloc.cpp);
@@ -224,7 +224,7 @@ class [[nodiscard]] EagerTask {
   void await_suspend(std::coroutine_handle<>) const noexcept {}
   T await_resume() { return take(); }
 
-  /// Synchronous extraction for the thin rt wrappers.
+  /// Synchronous extraction: `alg.op(…).get()` on the calling thread.
   T get() { return take(); }
 
  private:

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "algo/sharded_set.h"
+#include "algo/values.h"
 #include "env/rt_env.h"
 
 namespace hi::rt {
@@ -55,15 +56,11 @@ class RtShardedHiSetT {
 
   /// Concatenated shard bitmaps — the simulator's mem(C) layout order.
   std::vector<std::uint8_t> memory_image() const {
-    std::vector<std::uint8_t> image;
-    image.reserve(alg_.domain());
-    alg_.encode_memory(image);
-    return image;
+    return algo::memory_image(alg_);
   }
 
   std::uint32_t domain() const { return alg_.domain(); }
   std::uint32_t shard_count() const { return alg_.shard_count(); }
-  std::uint32_t shard_of(std::uint32_t key) const { return alg_.shard_of(key); }
   /// Bytes of shared storage (the bench's bytes_per_object input).
   std::size_t memory_bytes() const { return alg_.memory_bytes(); }
 

@@ -41,10 +41,6 @@ class RtUniversal {
   }
 
   Resp apply(int pid, Op op) { return alg_.apply(pid, op).get(); }
-  Resp apply_read_only(int pid, Op op) {
-    return alg_.apply_read_only(pid, op).get();
-  }
-  Resp apply_update(int pid, Op op) { return alg_.apply_update(pid, op).get(); }
   /// Test support (see algo/universal.h): park an announcement for `pid`.
   bool announce_only(int pid, Op op) {
     return alg_.announce_only(pid, op).get();
@@ -73,7 +69,6 @@ class RtUniversal {
   // batches_installed). Read at rest — counters are owner-thread-written.
   std::uint64_t batches_installed() const { return alg_.batches_installed(); }
   std::uint64_t ops_combined() const { return alg_.ops_combined(); }
-  void reset_batch_stats() { alg_.reset_batch_stats(); }
   bool combining_enabled() const { return alg_.combining_enabled(); }
 
   int num_processes() const { return alg_.num_processes(); }

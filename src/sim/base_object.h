@@ -163,43 +163,6 @@ class PackedWordCell : public BaseObject {
   std::atomic<std::uint64_t> cell_;
 };
 
-/// Word-sized read/write register with at most `num_states` states; used as a
-/// "smaller base object" with a tunable state count by the impossibility
-/// experiments (base objects with fewer than t states, Theorem 17).
-class WordRegister : public BaseObject {
- public:
-  WordRegister(std::string name, std::uint64_t num_states,
-               std::uint64_t initial = 0)
-      : BaseObject(std::move(name)), num_states_(num_states), cell_(initial) {
-    assert(initial < num_states);
-  }
-
-  auto read() {
-    return Primitive{id(), "read", [this] { return rt::word_read(cell_); }};
-  }
-  auto write(std::uint64_t value) {
-    assert(value < num_states_);
-    return Primitive{id(), "write", [this, value] {
-                       rt::word_write(cell_, value);
-                       return true;
-                     }};
-  }
-
-  void encode_state(std::vector<std::uint64_t>& out) const override {
-    out.push_back(peek());
-  }
-  std::string describe() const override {
-    return name() + "=" + std::to_string(peek());
-  }
-
-  std::uint64_t num_states() const { return num_states_; }
-  std::uint64_t peek() const { return cell_.load(std::memory_order_seq_cst); }
-
- private:
-  std::uint64_t num_states_;
-  std::atomic<std::uint64_t> cell_;
-};
-
 /// A 64-bit CAS word supporting read and write as in §2 ("we assume that
 /// the CAS object supports standard read and write operations"): the
 /// per-process announce/result cells of the leaky universal baseline and

@@ -2,8 +2,8 @@
 // Env abstraction) is instantiated by BOTH execution environments, so for
 // any *sequential* operation sequence the simulator instantiation and the
 // hardware instantiation must march through identical memory states — the
-// sim mem(C) snapshot and the rt memory_image() are the same vector, and
-// every response matches. This pins the two backends to one semantics: a
+// sim mem(C) snapshot and the rt algo::memory_image() are the same vector,
+// and every response matches. This pins the two backends to one semantics: a
 // future edit that diverges them (or a codec/packing bug) fails here before
 // any HI property is even consulted.
 #include <gtest/gtest.h>
@@ -12,6 +12,9 @@
 #include <span>
 #include <vector>
 
+#include "algo/hi_set.h"
+#include "algo/max_register.h"
+#include "algo/registers.h"
 #include "algo/wait_free_sim.h"
 #include "baseline/leaky_universal.h"
 #include "core/hi_register_lockfree.h"
@@ -23,13 +26,9 @@
 #include "core/vidyasankar.h"
 #include "register_common.h"
 #include "rt/baselines_rt.h"
-#include "rt/hi_set_rt.h"
-#include "rt/max_register_rt.h"
-#include "rt/registers_rt.h"
 #include "rt/rllsc_rt.h"
 #include "rt/sharded_set_rt.h"
 #include "rt/universal_rt.h"
-#include "rt/wait_free_sim_rt.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
@@ -42,7 +41,7 @@
 namespace hi {
 namespace {
 
-/// The sim mem(C) snapshot as bytes, comparable with rt memory_image().
+/// The sim mem(C) snapshot as bytes, comparable with algo::memory_image().
 std::vector<std::uint8_t> snapshot_bytes(const sim::Memory& memory) {
   const sim::MemorySnapshot snap = memory.snapshot();
   std::vector<std::uint8_t> bytes;
@@ -57,13 +56,13 @@ std::vector<std::uint8_t> snapshot_bytes(const sim::Memory& memory) {
 /// Drive identical random SWSR sequences (sequentially — writer ops and
 /// reader ops never overlap) through the sim and rt instantiations of one
 /// register algorithm; compare responses and memory after every operation.
-template <typename SimImpl, typename RtImpl>
+template <typename SimImpl, typename RtAlg>
 void register_parity(std::uint32_t num_values, std::uint32_t initial,
                      std::uint64_t seed) {
   testing::RegisterSystem<SimImpl> sim_sys(num_values, initial);
-  RtImpl rt_reg(num_values, initial);
+  RtAlg rt_reg({}, num_values, initial);
 
-  EXPECT_EQ(snapshot_bytes(sim_sys.memory), rt_reg.memory_image())
+  EXPECT_EQ(snapshot_bytes(sim_sys.memory), algo::memory_image(rt_reg))
       << "initial memory diverges";
 
   util::Xoshiro256 rng(seed);
@@ -71,12 +70,12 @@ void register_parity(std::uint32_t num_values, std::uint32_t initial,
     if (rng.chance(1, 3)) {
       const auto sim_got = sim::run_solo(sim_sys.sched, testing::kReaderPid,
                                          sim_sys.impl.read(testing::kReaderPid));
-      if constexpr (requires { rt_reg.read(std::uint64_t{1}); }) {
-        const auto rt_got = rt_reg.read(/*max_attempts=*/1);
+      if constexpr (requires { rt_reg.read_bounded(1); }) {
+        const auto rt_got = rt_reg.read_bounded(/*max_attempts=*/1).get();
         ASSERT_TRUE(rt_got.has_value()) << "solo TryRead cannot fail";
         EXPECT_EQ(sim_got, *rt_got) << "read response diverges at " << step;
       } else {
-        const auto rt_got = rt_reg.read();
+        const auto rt_got = rt_reg.read().get();
         EXPECT_EQ(sim_got, rt_got) << "read response diverges at " << step;
       }
     } else {
@@ -84,105 +83,99 @@ void register_parity(std::uint32_t num_values, std::uint32_t initial,
           static_cast<std::uint32_t>(rng.next_in(1, num_values));
       (void)sim::run_solo(sim_sys.sched, testing::kWriterPid,
                           sim_sys.impl.write(testing::kWriterPid, value));
-      rt_reg.write(value);
+      (void)rt_reg.write(value).get();
     }
-    ASSERT_EQ(snapshot_bytes(sim_sys.memory), rt_reg.memory_image())
+    ASSERT_EQ(snapshot_bytes(sim_sys.memory), algo::memory_image(rt_reg))
         << "memory diverges after op " << step;
   }
 }
 
 TEST(EnvParity, Vidyasankar) {
-  register_parity<core::VidyasankarRegister, rt::RtVidyasankarRegister>(6, 1,
-                                                                        11);
-  register_parity<core::VidyasankarRegister, rt::RtVidyasankarRegister>(3, 2,
-                                                                        12);
+  using RtAlg = algo::VidyasankarAlgPacked<env::RtEnv>;
+  register_parity<core::VidyasankarRegister, RtAlg>(6, 1, 11);
+  register_parity<core::VidyasankarRegister, RtAlg>(3, 2, 12);
 }
 
 TEST(EnvParity, LockFreeHiRegister) {
-  register_parity<core::LockFreeHiRegister, rt::RtLockFreeHiRegister>(6, 1, 21);
-  register_parity<core::LockFreeHiRegister, rt::RtLockFreeHiRegister>(4, 3, 22);
+  using RtAlg = algo::LockFreeHiAlgPacked<env::RtEnv>;
+  register_parity<core::LockFreeHiRegister, RtAlg>(6, 1, 21);
+  register_parity<core::LockFreeHiRegister, RtAlg>(4, 3, 22);
 }
 
 TEST(EnvParity, WaitFreeHiRegister) {
-  register_parity<core::WaitFreeHiRegister, rt::RtWaitFreeHiRegister>(6, 1, 31);
-  register_parity<core::WaitFreeHiRegister, rt::RtWaitFreeHiRegister>(5, 5, 32);
+  using RtAlg = algo::WaitFreeHiAlgPacked<env::RtEnv>;
+  register_parity<core::WaitFreeHiRegister, RtAlg>(6, 1, 31);
+  register_parity<core::WaitFreeHiRegister, RtAlg>(5, 5, 32);
 }
 
 TEST(EnvParity, VidyasankarLeakReproducesIdentically) {
   // The signature non-HI behaviour must be bit-identical across backends:
   // Write(2); Write(1) leaves [1,1,0...] in both environments.
   testing::RegisterSystem<core::VidyasankarRegister> sim_sys(3, 1);
-  rt::RtVidyasankarRegister rt_reg(3, 1);
+  algo::VidyasankarAlgPacked<env::RtEnv> rt_reg({}, 3, 1);
   for (const std::uint32_t v : {2u, 1u}) {
     (void)sim::run_solo(sim_sys.sched, testing::kWriterPid,
                         sim_sys.impl.write(testing::kWriterPid, v));
-    rt_reg.write(v);
+    (void)rt_reg.write(v).get();
   }
   EXPECT_EQ(snapshot_bytes(sim_sys.memory),
             (std::vector<std::uint8_t>{1, 1, 0}));
-  EXPECT_EQ(rt_reg.memory_image(), (std::vector<std::uint8_t>{1, 1, 0}));
+  EXPECT_EQ(algo::memory_image(rt_reg), (std::vector<std::uint8_t>{1, 1, 0}));
 }
 
 // ---- Packed-layout parity: the packed sim instantiation vs the packed rt
-// instantiation (the rt default), K=70 so scans and clearing passes cross
-// the two-word boundary. Packed sim cells snapshot as 64-bin words rather
+// instantiation, K=70 so scans and clearing passes cross the two-word
+// boundary. Packed sim cells snapshot as 64-bin words rather
 // than one byte per bin, so the comparison goes through the
 // algorithm-level bin image (encode_memory) on both sides — which is also
 // what pins that the packed layout agrees with the padded layout on the
-// abstract bins (rt memory_image() is bins in both layouts). ----
+// abstract bins (algo::memory_image is bins in both layouts). ----
 
-template <typename SimAlg, typename RtImpl>
+template <template <typename> class Alg>
 void packed_register_parity(std::uint32_t num_values, std::uint32_t initial,
                             std::uint64_t seed) {
   sim::Memory memory;
   sim::Scheduler sched(2);
-  SimAlg sim_alg(memory, num_values, initial);
-  RtImpl rt_reg(num_values, initial);
+  Alg<env::SimEnv> sim_alg(memory, num_values, initial);
+  Alg<env::RtEnv> rt_reg({}, num_values, initial);
 
-  const auto sim_bins = [&sim_alg] {
-    std::vector<std::uint8_t> image;
-    sim_alg.encode_memory(image);
-    return image;
-  };
-  EXPECT_EQ(sim_bins(), rt_reg.memory_image()) << "initial memory diverges";
+  EXPECT_EQ(algo::memory_image(sim_alg), algo::memory_image(rt_reg))
+      << "initial memory diverges";
 
   util::Xoshiro256 rng(seed);
   for (int step = 0; step < 200; ++step) {
     if (rng.chance(1, 3)) {
       const auto sim_got =
           sim::run_solo(sched, testing::kReaderPid, sim_alg.read());
-      if constexpr (requires { rt_reg.read(std::uint64_t{1}); }) {
-        const auto rt_got = rt_reg.read(/*max_attempts=*/1);
+      if constexpr (requires { rt_reg.read_bounded(1); }) {
+        const auto rt_got = rt_reg.read_bounded(/*max_attempts=*/1).get();
         ASSERT_TRUE(rt_got.has_value()) << "solo TryRead cannot fail";
         EXPECT_EQ(sim_got, *rt_got) << "read response diverges at " << step;
       } else {
-        const auto rt_got = rt_reg.read();
+        const auto rt_got = rt_reg.read().get();
         EXPECT_EQ(sim_got, rt_got) << "read response diverges at " << step;
       }
     } else {
       const auto value =
           static_cast<std::uint32_t>(rng.next_in(1, num_values));
       (void)sim::run_solo(sched, testing::kWriterPid, sim_alg.write(value));
-      rt_reg.write(value);
+      (void)rt_reg.write(value).get();
     }
-    ASSERT_EQ(sim_bins(), rt_reg.memory_image())
+    ASSERT_EQ(algo::memory_image(sim_alg), algo::memory_image(rt_reg))
         << "memory diverges after op " << step;
   }
 }
 
 TEST(EnvParity, PackedVidyasankar) {
-  packed_register_parity<algo::VidyasankarAlgPacked<env::SimEnv>,
-                         rt::RtVidyasankarRegister>(70, 1, 13);
+  packed_register_parity<algo::VidyasankarAlgPacked>(70, 1, 13);
 }
 
 TEST(EnvParity, PackedLockFreeHiRegister) {
-  packed_register_parity<algo::LockFreeHiAlgPacked<env::SimEnv>,
-                         rt::RtLockFreeHiRegister>(70, 65, 23);
+  packed_register_parity<algo::LockFreeHiAlgPacked>(70, 65, 23);
 }
 
 TEST(EnvParity, PackedWaitFreeHiRegister) {
-  packed_register_parity<algo::WaitFreeHiAlgPacked<env::SimEnv>,
-                         rt::RtWaitFreeHiRegister>(70, 1, 33);
+  packed_register_parity<algo::WaitFreeHiAlgPacked>(70, 1, 33);
 }
 
 // ---- Wait-free-sim combinator parity: beyond the inner bins, the
@@ -193,37 +186,34 @@ TEST(EnvParity, PackedWaitFreeHiRegister) {
 // announce/enqueue/self-help, marching records, slot rounds and the
 // head/tail counters through ~200 ops of slow-path evolution. ----
 
-template <typename SimBins, typename RtImpl>
+template <template <typename> class Alg>
 void waitfree_sim_parity(std::uint32_t num_values, std::uint32_t initial,
                          std::uint32_t fast_limit, std::uint64_t seed) {
   sim::Memory memory;
   sim::Scheduler sched(2);
-  algo::WaitFreeSimHiAlg<env::SimEnv, SimBins> sim_alg(
-      memory, num_values, initial, /*num_processes=*/2, fast_limit);
-  RtImpl rt_reg(num_values, initial, /*num_processes=*/2, fast_limit);
+  Alg<env::SimEnv> sim_alg(memory, num_values, initial, /*num_processes=*/2,
+                           fast_limit);
+  Alg<env::RtEnv> rt_reg({}, num_values, initial, /*num_processes=*/2,
+                         fast_limit);
 
-  const auto sim_image = [&sim_alg] {
-    std::vector<std::uint8_t> image;
-    sim_alg.encode_memory(image);
-    return image;
-  };
-  EXPECT_EQ(sim_image(), rt_reg.memory_image()) << "initial memory diverges";
+  EXPECT_EQ(algo::memory_image(sim_alg), algo::memory_image(rt_reg))
+      << "initial memory diverges";
 
   util::Xoshiro256 rng(seed);
   for (int step = 0; step < 200; ++step) {
     if (rng.chance(1, 3)) {
       const auto sim_got = sim::run_solo(sched, testing::kReaderPid,
                                          sim_alg.read(testing::kReaderPid));
-      const auto rt_got = rt_reg.read(testing::kReaderPid);
+      const auto rt_got = rt_reg.read(testing::kReaderPid).get();
       EXPECT_EQ(sim_got, rt_got) << "read response diverges at " << step;
     } else {
       const auto value =
           static_cast<std::uint32_t>(rng.next_in(1, num_values));
       (void)sim::run_solo(sched, testing::kWriterPid,
                           sim_alg.write(testing::kWriterPid, value));
-      rt_reg.write(value, testing::kWriterPid);
+      (void)rt_reg.write(testing::kWriterPid, value).get();
     }
-    ASSERT_EQ(sim_image(), rt_reg.memory_image())
+    ASSERT_EQ(algo::memory_image(sim_alg), algo::memory_image(rt_reg))
         << "memory diverges after op " << step;
   }
   EXPECT_EQ(sim_alg.slow_path_entries(), rt_reg.slow_path_entries());
@@ -231,14 +221,13 @@ void waitfree_sim_parity(std::uint32_t num_values, std::uint32_t initial,
 }
 
 TEST(EnvParity, WaitFreeSimHiRegister) {
-  waitfree_sim_parity<env::PackedBins<env::SimEnv>,
-                      rt::RtWaitFreeSimHiRegister>(70, 1, /*fast_limit=*/1, 41);
+  waitfree_sim_parity<algo::WaitFreeSimHiAlgPacked>(70, 1, /*fast_limit=*/1,
+                                                    41);
 }
 
 TEST(EnvParity, WaitFreeSimHiRegisterForcedSlowPath) {
-  waitfree_sim_parity<env::PaddedBins<env::SimEnv>,
-                      rt::RtWaitFreeSimHiRegisterPadded>(6, 2, /*fast_limit=*/0,
-                                                         42);
+  waitfree_sim_parity<algo::WaitFreeSimHiAlgPadded>(6, 2, /*fast_limit=*/0,
+                                                    42);
 }
 
 TEST(EnvParity, PackedMaxRegister) {
@@ -247,27 +236,24 @@ TEST(EnvParity, PackedMaxRegister) {
   sim::Scheduler sched(2);
   algo::HiMaxRegisterAlgPacked<env::SimEnv> sim_reg(
       memory, k, 1, testing::kWriterPid, testing::kReaderPid);
-  rt::RtMaxRegister rt_reg(k, 1, testing::kWriterPid, testing::kReaderPid);
+  algo::HiMaxRegisterAlgPacked<env::RtEnv> rt_reg(
+      {}, k, 1, testing::kWriterPid, testing::kReaderPid);
 
-  const auto sim_bins = [&sim_reg] {
-    std::vector<std::uint8_t> image;
-    sim_reg.encode_memory(image);
-    return image;
-  };
   util::Xoshiro256 rng(63);
   for (int step = 0; step < 200; ++step) {
     if (rng.chance(1, 3)) {
       const auto sim_got =
           sim::run_solo(sched, testing::kReaderPid,
                         sim_reg.read_max(testing::kReaderPid));
-      EXPECT_EQ(sim_got, rt_reg.read_max()) << "read diverges at " << step;
+      EXPECT_EQ(sim_got, rt_reg.read_max(testing::kReaderPid).get())
+          << "read diverges at " << step;
     } else {
       const auto value = static_cast<std::uint32_t>(rng.next_in(1, k));
       (void)sim::run_solo(sched, testing::kWriterPid,
                           sim_reg.write_max(testing::kWriterPid, value));
-      rt_reg.write_max(value);
+      (void)rt_reg.write_max(testing::kWriterPid, value).get();
     }
-    ASSERT_EQ(sim_bins(), rt_reg.memory_image())
+    ASSERT_EQ(algo::memory_image(sim_reg), algo::memory_image(rt_reg))
         << "memory diverges after op " << step;
   }
 }
@@ -278,14 +264,9 @@ TEST(EnvParity, PackedHiSet) {
   sim::Scheduler sched(2);
   algo::HiSetAlgPacked<env::SimEnv> sim_set(memory, domain,
                                             0x5555555555555555ull);
-  rt::RtHiSet rt_set(domain, 0x5555555555555555ull);
+  algo::HiSetAlgPacked<env::RtEnv> rt_set({}, domain, 0x5555555555555555ull);
 
-  const auto sim_bins = [&sim_set] {
-    std::vector<std::uint8_t> image;
-    sim_set.encode_memory(image);
-    return image;
-  };
-  EXPECT_EQ(sim_bins(), rt_set.memory_image());
+  EXPECT_EQ(algo::memory_image(sim_set), algo::memory_image(rt_set));
 
   util::Xoshiro256 rng(73);
   for (int step = 0; step < 300; ++step) {
@@ -295,19 +276,19 @@ TEST(EnvParity, PackedHiSet) {
     switch (rng.next_below(3)) {
       case 0:
         sim_got = sim::run_solo(sched, 0, sim_set.insert(v));
-        rt_got = rt_set.insert(v);
+        rt_got = rt_set.insert(v).get();
         break;
       case 1:
         sim_got = sim::run_solo(sched, 0, sim_set.remove(v));
-        rt_got = rt_set.remove(v);
+        rt_got = rt_set.remove(v).get();
         break;
       default:
         sim_got = sim::run_solo(sched, 0, sim_set.lookup(v));
-        rt_got = rt_set.lookup(v);
+        rt_got = rt_set.lookup(v).get();
         break;
     }
     EXPECT_EQ(sim_got, rt_got) << "response diverges at " << step;
-    ASSERT_EQ(sim_bins(), rt_set.memory_image())
+    ASSERT_EQ(algo::memory_image(sim_set), algo::memory_image(rt_set))
         << "memory diverges after op " << step;
   }
 }
@@ -330,12 +311,7 @@ TEST(EnvParity, ShardedHiSet) {
   rt::RtShardedHiSet rt_set(domain, 2, algo::ShardPlacement::kStriped,
                             std::span<const std::uint64_t>(init));
 
-  const auto sim_bins = [&sim_set] {
-    std::vector<std::uint8_t> image;
-    sim_set.encode_memory(image);
-    return image;
-  };
-  EXPECT_EQ(sim_bins(), rt_set.memory_image());
+  EXPECT_EQ(algo::memory_image(sim_set), rt_set.memory_image());
 
   util::Xoshiro256 rng(91);
   for (int step = 0; step < 300; ++step) {
@@ -357,7 +333,7 @@ TEST(EnvParity, ShardedHiSet) {
         break;
     }
     EXPECT_EQ(sim_got, rt_got) << "response diverges at " << step;
-    ASSERT_EQ(sim_bins(), rt_set.memory_image())
+    ASSERT_EQ(algo::memory_image(sim_set), rt_set.memory_image())
         << "memory diverges after op " << step;
     if (step % 50 == 49) {
       // Full-membership audits agree too (same per-shard scan order).
@@ -463,9 +439,10 @@ TEST(EnvParity, MaxRegister) {
     sim::Scheduler sched(2);
     core::HiMaxRegister sim_reg(memory, spec, testing::kWriterPid,
                                 testing::kReaderPid);
-    rt::RtMaxRegister rt_reg(k, 1, testing::kWriterPid, testing::kReaderPid);
+    algo::HiMaxRegisterAlgPacked<env::RtEnv> rt_reg(
+        {}, k, 1, testing::kWriterPid, testing::kReaderPid);
 
-    EXPECT_EQ(snapshot_bytes(memory), rt_reg.memory_image());
+    EXPECT_EQ(snapshot_bytes(memory), algo::memory_image(rt_reg));
 
     util::Xoshiro256 rng(seed);
     for (int step = 0; step < 200; ++step) {
@@ -473,14 +450,15 @@ TEST(EnvParity, MaxRegister) {
         const auto sim_got =
             sim::run_solo(sched, testing::kReaderPid,
                           sim_reg.read_max(testing::kReaderPid));
-        EXPECT_EQ(sim_got, rt_reg.read_max()) << "read diverges at " << step;
+        EXPECT_EQ(sim_got, rt_reg.read_max(testing::kReaderPid).get())
+            << "read diverges at " << step;
       } else {
         const auto value = static_cast<std::uint32_t>(rng.next_in(1, k));
         (void)sim::run_solo(sched, testing::kWriterPid,
                             sim_reg.write_max(testing::kWriterPid, value));
-        rt_reg.write_max(value);
+        (void)rt_reg.write_max(testing::kWriterPid, value).get();
       }
-      ASSERT_EQ(snapshot_bytes(memory), rt_reg.memory_image())
+      ASSERT_EQ(snapshot_bytes(memory), algo::memory_image(rt_reg))
           << "memory diverges after op " << step;
     }
   }
@@ -496,9 +474,9 @@ TEST(EnvParity, HiSet) {
     sim::Memory memory;
     sim::Scheduler sched(2);
     core::HiSet sim_set(memory, spec);
-    rt::RtHiSet rt_set(domain, spec.initial_state());
+    algo::HiSetAlgPacked<env::RtEnv> rt_set({}, domain, spec.initial_state());
 
-    EXPECT_EQ(snapshot_bytes(memory), rt_set.memory_image());
+    EXPECT_EQ(snapshot_bytes(memory), algo::memory_image(rt_set));
 
     util::Xoshiro256 rng(seed);
     for (int step = 0; step < 300; ++step) {
@@ -508,19 +486,19 @@ TEST(EnvParity, HiSet) {
       switch (rng.next_below(3)) {
         case 0:
           sim_got = sim::run_solo(sched, 0, sim_set.insert(v));
-          rt_got = rt_set.insert(v);
+          rt_got = rt_set.insert(v).get();
           break;
         case 1:
           sim_got = sim::run_solo(sched, 0, sim_set.remove(v));
-          rt_got = rt_set.remove(v);
+          rt_got = rt_set.remove(v).get();
           break;
         default:
           sim_got = sim::run_solo(sched, 0, sim_set.lookup(v));
-          rt_got = rt_set.lookup(v);
+          rt_got = rt_set.lookup(v).get();
           break;
       }
       EXPECT_EQ(sim_got, rt_got) << "response diverges at " << step;
-      ASSERT_EQ(snapshot_bytes(memory), rt_set.memory_image())
+      ASSERT_EQ(snapshot_bytes(memory), algo::memory_image(rt_set))
           << "memory diverges after op " << step;
     }
   }

@@ -128,13 +128,6 @@ typename S::State witness_final_state(const S& spec, const Hist& hist,
   return state;
 }
 
-template <typename Alg>
-std::vector<std::uint8_t> image_of(Alg& alg) {
-  std::vector<std::uint8_t> image;
-  alg.encode_memory(image);
-  return image;
-}
-
 // --------------------------------------------------------- positive control
 
 TEST(FuzzRt, PositiveControl_BrokenCounterCaughtReproducedShrunk) {
@@ -293,7 +286,7 @@ TEST(FuzzRt, LockFreeHiRegister_LinearizableAndQuiescentCanonical) {
             (void)replayed.read_bounded(1).get();
           }
         }
-        EXPECT_EQ(image_of(reg), image_of(replayed))
+        EXPECT_EQ(algo::memory_image(reg), algo::memory_image(replayed))
             << "state-quiescent HI image diverges from witness replay at seed "
             << seed;
       });
@@ -333,7 +326,7 @@ TEST(FuzzRt, WaitFreeHiRegister_LinearizableAndQuiescentCanonical) {
             (void)replayed.read().get();
           }
         }
-        EXPECT_EQ(image_of(reg), image_of(replayed))
+        EXPECT_EQ(algo::memory_image(reg), algo::memory_image(replayed))
             << "quiescent HI image diverges from witness replay at seed "
             << seed;
       });
@@ -462,7 +455,7 @@ TEST(FuzzRt, MaxRegister_LinearizableAndQuiescentCanonical) {
             (void)replayed->read_max(1).get();
           }
         }
-        EXPECT_EQ(image_of(reg), image_of(*replayed))
+        EXPECT_EQ(algo::memory_image(reg), algo::memory_image(*replayed))
             << "max-register HI image diverges from witness replay at seed "
             << seed;
       });
@@ -519,7 +512,7 @@ TEST(FuzzRt, HiSet_LinearizableAndPerfectHI) {
         for (const std::size_t idx : witness) {
           (void)run_set_op(replayed, hist.entries()[idx].op);
         }
-        EXPECT_EQ(image_of(set), image_of(replayed))
+        EXPECT_EQ(algo::memory_image(set), algo::memory_image(replayed))
             << "perfect-HI set image diverges from witness replay at seed "
             << seed;
       });
@@ -553,7 +546,7 @@ TEST(FuzzRt, ShardedHiSet_LinearizableAndPerfectHI) {
         for (const std::size_t idx : witness) {
           (void)run_set_op(*replayed, hist.entries()[idx].op);
         }
-        EXPECT_EQ(image_of(set), image_of(*replayed))
+        EXPECT_EQ(algo::memory_image(set), algo::memory_image(*replayed))
             << "sharded-store image diverges from witness replay at seed "
             << seed;
       });

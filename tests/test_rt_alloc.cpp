@@ -21,12 +21,13 @@
 #include <thread>
 #include <vector>
 
+#include "algo/hi_set.h"
+#include "algo/max_register.h"
+#include "algo/registers.h"
+#include "algo/wait_free_sim.h"
 #include "core/hi_register_lockfree.h"
 #include "env/rt_env.h"
 #include "rt/baselines_rt.h"
-#include "rt/hi_set_rt.h"
-#include "rt/max_register_rt.h"
-#include "rt/registers_rt.h"
 #include "rt/rllsc_rt.h"
 #include "rt/sharded_set_rt.h"
 #include "rt/universal_rt.h"
@@ -142,26 +143,27 @@ std::uint64_t steady_state_allocs(Fn op, int warmup = 256, int ops = 2048) {
 }
 
 TEST(RtAllocSteadyState, VidyasankarRegister) {
-  rt::RtVidyasankarRegister reg(16);
+  algo::VidyasankarAlgPacked<env::RtEnv> reg({}, 16, 1);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
-              reg.write(static_cast<std::uint32_t>(i % 16) + 1);
-              (void)reg.read();
+              (void)reg.write(static_cast<std::uint32_t>(i % 16) + 1).get();
+              (void)reg.read().get();
             }));
 }
 
 TEST(RtAllocSteadyState, LockFreeHiRegister) {
-  rt::RtLockFreeHiRegister reg(16);
+  algo::LockFreeHiAlgPacked<env::RtEnv> reg({}, 16, 1);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
-              reg.write(static_cast<std::uint32_t>(i % 16) + 1);
-              (void)reg.read(/*max_attempts=*/4);  // solo: first TryRead hits
+              (void)reg.write(static_cast<std::uint32_t>(i % 16) + 1).get();
+              // Solo: the first TryRead hits.
+              (void)reg.read_bounded(/*max_attempts=*/4).get();
             }));
 }
 
 TEST(RtAllocSteadyState, WaitFreeHiRegister) {
-  rt::RtWaitFreeHiRegister reg(16);
+  algo::WaitFreeHiAlgPacked<env::RtEnv> reg({}, 16, 1);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
-              reg.write(static_cast<std::uint32_t>(i % 16) + 1);
-              (void)reg.read();
+              (void)reg.write(static_cast<std::uint32_t>(i % 16) + 1).get();
+              (void)reg.read().get();
             }));
 }
 
@@ -170,42 +172,66 @@ TEST(RtAllocSteadyState, LockFreeHiRegisterPackedLargeK) {
   // scan Sub frames the word-scan library adds) must stay allocation-free:
   // the new bench rows inherit the allocs_per_op == 0 gate from this
   // contract.
-  rt::RtLockFreeHiRegister reg(1024);
+  algo::LockFreeHiAlgPacked<env::RtEnv> reg({}, 1024, 1);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
-              reg.write(static_cast<std::uint32_t>(i % 1024) + 1);
-              (void)reg.read(/*max_attempts=*/4);
+              (void)reg.write(static_cast<std::uint32_t>(i % 1024) + 1).get();
+              (void)reg.read_bounded(/*max_attempts=*/4).get();
             }));
 }
 
 TEST(RtAllocSteadyState, LockFreeHiRegisterPaddedLayout) {
   // The padded alias (kept for the layout-comparison bench rows) shares
   // the contract.
-  rt::RtLockFreeHiRegisterPadded reg(64);
+  algo::LockFreeHiAlgPadded<env::RtEnv> reg({}, 64, 1);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
-              reg.write(static_cast<std::uint32_t>(i % 64) + 1);
-              (void)reg.read(/*max_attempts=*/4);
+              (void)reg.write(static_cast<std::uint32_t>(i % 64) + 1).get();
+              (void)reg.read_bounded(/*max_attempts=*/4).get();
             }));
 }
 
 TEST(RtAllocSteadyState, MaxRegister) {
-  rt::RtMaxRegister reg(64);
+  algo::HiMaxRegisterAlgPacked<env::RtEnv> reg({}, 64, 1, /*writer_pid=*/0,
+                                               /*reader_pid=*/1);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
               // Ramp once, then absorbed writes: both paths must be free.
-              reg.write_max(static_cast<std::uint32_t>(i % 64) + 1);
+              (void)reg.write_max(0, static_cast<std::uint32_t>(i % 64) + 1)
+                  .get();
             }));
-  rt::RtMaxRegister reader_side(64, 1, /*writer_pid=*/0, /*reader_pid=*/0);
+  algo::HiMaxRegisterAlgPacked<env::RtEnv> reader_side({}, 64, 1,
+                                                       /*writer_pid=*/0,
+                                                       /*reader_pid=*/0);
   EXPECT_EQ(0u, steady_state_allocs(
-                    [&](int) { (void)reader_side.read_max(); }));
+                    [&](int) { (void)reader_side.read_max(0).get(); }));
 }
 
 TEST(RtAllocSteadyState, HiSet) {
-  rt::RtHiSet set(64);
+  algo::HiSetAlgPacked<env::RtEnv> set({}, 64, 0);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
               const auto v = static_cast<std::uint32_t>(i % 64) + 1;
-              (void)set.insert(v);
-              (void)set.lookup(v);
-              (void)set.remove(v);
+              (void)set.insert(v).get();
+              (void)set.lookup(v).get();
+              (void)set.remove(v).get();
             }));
+}
+
+TEST(RtAllocSteadyState, WaitFreeSimHiRegister) {
+  // fast_limit = 1: solo attempts never fail, so every read stays on the
+  // fast path. fast_limit = 0: every read announces, enqueues and helps
+  // itself — the slow path's Sub chain recycles through the arena too.
+  for (const std::uint32_t fast_limit : {1u, 0u}) {
+    algo::WaitFreeSimHiAlgPacked<env::RtEnv> reg({}, 16, 1,
+                                                 /*num_processes=*/2,
+                                                 fast_limit);
+    EXPECT_EQ(0u, steady_state_allocs([&](int i) {
+                (void)reg.write(0, static_cast<std::uint32_t>(i % 16) + 1)
+                    .get();
+                (void)reg.read(1).get();
+              }))
+        << "fast_limit " << fast_limit;
+    EXPECT_EQ(reg.slow_path_entries(),
+              fast_limit == 0 ? reg.total_ops() / 2 : 0u)
+        << "fast_limit " << fast_limit;
+  }
 }
 
 TEST(RtAllocSteadyState, ShardedHiSet) {
@@ -380,7 +406,7 @@ TEST(RtAllocChurn, MultiThreadArenaBalance) {
   constexpr int kOps = 2000;
   const spec::CounterSpec spec(0xffffff, 0);
   rt::RtUniversal<spec::CounterSpec> universal(spec, kThreads);
-  rt::RtHiSet set(64);
+  algo::HiSetAlgPacked<env::RtEnv> set({}, 64, 0);
   rt::RtRllsc cell(0);
 
   std::atomic<int> violations{0};
@@ -392,9 +418,9 @@ TEST(RtAllocChurn, MultiThreadArenaBalance) {
         (void)universal.apply(pid, spec::CounterSpec::inc());
         const auto v =
             static_cast<std::uint32_t>((pid * 16 + i % 16) % 64) + 1;
-        (void)set.insert(v);
-        (void)set.lookup(v);
-        (void)set.remove(v);
+        (void)set.insert(v).get();
+        (void)set.lookup(v).get();
+        (void)set.remove(v).get();
         const std::uint64_t seen = cell.ll(pid);
         (void)cell.sc(pid, seen + 1);
         (void)cell.rl(pid);

@@ -10,39 +10,46 @@
 #include <thread>
 #include <vector>
 
-#include "rt/registers_rt.h"
+#include "algo/registers.h"
+#include "env/rt_env.h"
 #include "util/rng.h"
 
 namespace hi {
 namespace {
 
+using Vidyasankar = algo::VidyasankarAlgPacked<env::RtEnv>;
+using LockFreeHi = algo::LockFreeHiAlgPacked<env::RtEnv>;
+using WaitFreeHi = algo::WaitFreeHiAlgPacked<env::RtEnv>;
+
 TEST(RtVidyasankar, SequentialLeak) {
-  rt::RtVidyasankarRegister with_history(3);
-  with_history.write(2);
-  with_history.write(1);
-  EXPECT_EQ(with_history.memory_image(),
+  Vidyasankar with_history({}, 3, 1);
+  (void)with_history.write(2).get();
+  (void)with_history.write(1).get();
+  EXPECT_EQ(algo::memory_image(with_history),
             (std::vector<std::uint8_t>{1, 1, 0}));
 
-  rt::RtVidyasankarRegister without_history(3);
-  without_history.write(1);
-  EXPECT_EQ(without_history.memory_image(),
+  Vidyasankar without_history({}, 3, 1);
+  (void)without_history.write(1).get();
+  EXPECT_EQ(algo::memory_image(without_history),
             (std::vector<std::uint8_t>{1, 0, 0}));
 }
 
 TEST(RtVidyasankar, ConcurrentReadsReturnWrittenValues) {
-  rt::RtVidyasankarRegister reg(8, 3);
+  Vidyasankar reg({}, 8, 3);
   std::atomic<bool> stop{false};
   // The writer writes only values from {3, 5, 7}; every read must observe
   // one of them (3 is also the initial value).
   std::thread writer([&] {
     util::Xoshiro256 rng(1);
     const std::uint32_t values[] = {3, 5, 7};
-    for (int i = 0; i < 50000; ++i) reg.write(values[rng.next_below(3)]);
+    for (int i = 0; i < 50000; ++i) {
+      (void)reg.write(values[rng.next_below(3)]).get();
+    }
     stop.store(true);
   });
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      const std::uint32_t v = reg.read();
+      const std::uint32_t v = reg.read().get();
       ASSERT_TRUE(v == 3 || v == 5 || v == 7) << v;
     }
   });
@@ -51,41 +58,43 @@ TEST(RtVidyasankar, ConcurrentReadsReturnWrittenValues) {
 }
 
 TEST(RtLockFreeHiRegister, CanonicalAfterQuiescence) {
-  rt::RtLockFreeHiRegister reg(6);
+  LockFreeHi reg({}, 6, 1);
   std::thread writer([&] {
     util::Xoshiro256 rng(2);
     for (int i = 0; i < 20000; ++i) {
-      reg.write(static_cast<std::uint32_t>(rng.next_in(1, 6)));
+      (void)reg.write(static_cast<std::uint32_t>(rng.next_in(1, 6))).get();
     }
-    reg.write(4);
+    (void)reg.write(4).get();
   });
   std::thread reader([&] {
     for (int i = 0; i < 2000; ++i) {
       // Bounded attempts: under a hot writer a TryRead may fail repeatedly
       // (lock-freedom); give up after a generous budget rather than hang.
-      (void)reg.read(/*max_attempts=*/100000);
+      (void)reg.read_bounded(/*max_attempts=*/100000).get();
     }
   });
   writer.join();
   reader.join();
-  const auto image = reg.memory_image();
+  const auto image = algo::memory_image(reg);
   for (std::uint32_t v = 1; v <= 6; ++v) {
     EXPECT_EQ(image[v - 1], v == 4 ? 1 : 0);
   }
 }
 
 TEST(RtLockFreeHiRegister, ReadsReturnWrittenValues) {
-  rt::RtLockFreeHiRegister reg(8, 2);
+  LockFreeHi reg({}, 8, 2);
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     util::Xoshiro256 rng(3);
     const std::uint32_t values[] = {2, 4, 8};
-    for (int i = 0; i < 30000; ++i) reg.write(values[rng.next_below(3)]);
+    for (int i = 0; i < 30000; ++i) {
+      (void)reg.write(values[rng.next_below(3)]).get();
+    }
     stop.store(true);
   });
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      const std::optional<std::uint32_t> v = reg.read(100000);
+      const std::optional<std::uint32_t> v = reg.read_bounded(100000).get();
       if (v.has_value()) {
         ASSERT_TRUE(*v == 2 || *v == 4 || *v == 8) << *v;
       }
@@ -96,7 +105,7 @@ TEST(RtLockFreeHiRegister, ReadsReturnWrittenValues) {
 }
 
 TEST(RtWaitFreeHiRegister, ReaderAlwaysCompletesUnderHotWriter) {
-  rt::RtWaitFreeHiRegister reg(6, 1);
+  WaitFreeHi reg({}, 6, 1);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads_done{0};
   std::thread writer([&] {
@@ -108,13 +117,13 @@ TEST(RtWaitFreeHiRegister, ReaderAlwaysCompletesUnderHotWriter) {
     for (std::uint64_t i = 0;
          reads_done.load(std::memory_order_acquire) < 200 && i < 50'000'000;
          ++i) {
-      reg.write(static_cast<std::uint32_t>(rng.next_in(1, 6)));
+      (void)reg.write(static_cast<std::uint32_t>(rng.next_in(1, 6))).get();
     }
     stop.store(true);
   });
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      const std::uint32_t v = reg.read();  // unconditionally terminates
+      const std::uint32_t v = reg.read().get();  // unconditionally terminates
       ASSERT_GE(v, 1u);
       ASSERT_LE(v, 6u);
       reads_done.fetch_add(1);
@@ -126,20 +135,20 @@ TEST(RtWaitFreeHiRegister, ReaderAlwaysCompletesUnderHotWriter) {
 }
 
 TEST(RtWaitFreeHiRegister, QuiescentMemoryCanonical) {
-  rt::RtWaitFreeHiRegister reg(5, 1);
+  WaitFreeHi reg({}, 5, 1);
   std::thread writer([&] {
     util::Xoshiro256 rng(5);
     for (int i = 0; i < 20000; ++i) {
-      reg.write(static_cast<std::uint32_t>(rng.next_in(1, 5)));
+      (void)reg.write(static_cast<std::uint32_t>(rng.next_in(1, 5))).get();
     }
-    reg.write(3);
+    (void)reg.write(3).get();
   });
   std::thread reader([&] {
-    for (int i = 0; i < 3000; ++i) (void)reg.read();
+    for (int i = 0; i < 3000; ++i) (void)reg.read().get();
   });
   writer.join();
   reader.join();
-  const auto image = reg.memory_image();
+  const auto image = algo::memory_image(reg);
   ASSERT_EQ(image.size(), 12u);  // A[5] B[5] flag[2]
   for (std::uint32_t v = 1; v <= 5; ++v) {
     EXPECT_EQ(image[v - 1], v == 3 ? 1 : 0) << "A[" << v << "]";
@@ -151,13 +160,11 @@ TEST(RtWaitFreeHiRegister, QuiescentMemoryCanonical) {
 
 TEST(RtWaitFreeHiRegister, SequentialHiAcrossPaths) {
   // Same final value via different op sequences ⇒ identical memory.
-  rt::RtWaitFreeHiRegister a(4);
-  a.write(2);
-  rt::RtWaitFreeHiRegister b(4);
-  b.write(4);
-  b.write(1);
-  b.write(2);
-  EXPECT_EQ(a.memory_image(), b.memory_image());
+  WaitFreeHi a({}, 4, 1);
+  (void)a.write(2).get();
+  WaitFreeHi b({}, 4, 1);
+  for (const std::uint32_t v : {4u, 1u, 2u}) (void)b.write(v).get();
+  EXPECT_EQ(algo::memory_image(a), algo::memory_image(b));
 }
 
 }  // namespace

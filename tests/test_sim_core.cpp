@@ -293,20 +293,6 @@ TEST(SimCore, AbandonMidOperation) {
   EXPECT_FALSE(sched.runnable(0));
 }
 
-TEST(SimCore, WordRegisterStateCount) {
-  Memory mem;
-  auto& w = mem.make<WordRegister>("w", 3, 2);
-  EXPECT_EQ(w.num_states(), 3u);
-  EXPECT_EQ(w.peek(), 2u);
-  Scheduler sched(1);
-  auto prog = [&w]() -> OpTask<std::uint32_t> {
-    co_await w.write(0);
-    co_return static_cast<std::uint32_t>(co_await w.read());
-  };
-  OpTask<std::uint32_t> t = prog();
-  EXPECT_EQ(run_solo(sched, 0, std::move(t)), 0u);
-}
-
 // ---- rt/cells.h bodies through SimEnv cells ----
 
 using env::SimEnv;
