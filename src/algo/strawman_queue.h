@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "env/env.h"
+
 namespace hi::algo {
 
 template <typename Env>
@@ -32,6 +34,7 @@ class StrawmanQueueAlg {
   using Op = typename Env::template Op<T>;
   template <typename T>
   using Sub = typename Env::template Sub<T>;
+  using Bins = env::PaddedBins<Env>;
 
   StrawmanQueueAlg(typename Env::Ctx ctx, std::uint32_t domain,
                    std::size_t capacity)
@@ -40,12 +43,12 @@ class StrawmanQueueAlg {
         // F slot v+1 holds the paper's F[v]; slot 1 (= F[0], "empty") starts
         // at 1. Registration order fixes the mem(C) layout: F first, then
         // the slot bit-planes.
-        front_(Env::make_bin_array(ctx, "F", domain + 1, 1)) {
+        front_(Bins::make(ctx, "F", domain + 1, 1)) {
     bits_per_slot_ = 1;
     while ((1u << bits_per_slot_) < domain_ + 1) ++bits_per_slot_;
     slots_.reserve(capacity_);
     for (std::size_t s = 0; s < capacity_; ++s) {
-      slots_.push_back(Env::make_bin_array(
+      slots_.push_back(Bins::make(
           ctx, ("slot" + std::to_string(s)).c_str(), bits_per_slot_, 0));
     }
   }

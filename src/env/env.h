@@ -61,7 +61,10 @@
 #include <coroutine>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "util/bits.h"
 
@@ -169,6 +172,24 @@ auto ready(T value) {
 // any other primitive sequence.
 // ---------------------------------------------------------------------------
 
+/// The one-hot initial bitmap of a bin array: bin `one_index` (1-based;
+/// 0 = none) set, as many words as reach it (the factories read missing
+/// trailing words as 0). Both layouts' one-hot make() build through it, so
+/// the range check runs before any cell is created or written.
+inline std::vector<std::uint64_t> one_hot_words(std::uint32_t count,
+                                                std::uint32_t one_index) {
+  if (one_index > count) {
+    throw std::invalid_argument("one-hot bin " + std::to_string(one_index) +
+                                " outside 1.." + std::to_string(count));
+  }
+  std::vector<std::uint64_t> words;
+  if (one_index != 0) {
+    words.resize(util::bin_word(one_index) + 1);
+    util::bin_set(words, one_index);
+  }
+  return words;
+}
+
 /// The padded-per-bit layout: delegates to the environment's BinArray
 /// primitives. Scan/clear loops reproduce the §4/§5.1 bodies' original
 /// bit-at-a-time primitive sequences EXACTLY (same objects, same order), so
@@ -180,9 +201,10 @@ struct PaddedBins {
   template <typename T>
   using Sub = typename Env::template Sub<T>;
 
+  /// One-hot initializer: bin `one_index` (1-based; 0 = none) starts at 1.
   static Array make(typename Env::Ctx ctx, const char* prefix,
                     std::uint32_t count, std::uint32_t one_index) {
-    return Env::make_bin_array(ctx, prefix, count, one_index);
+    return make_bits(ctx, prefix, count, one_hot_words(count, one_index));
   }
   /// Multi-word initializer: word w of `words` seeds bins 64w+1..64w+64
   /// (bit v-1 of the flat bitmap = bin v); missing trailing words read as 0
@@ -191,7 +213,7 @@ struct PaddedBins {
   static Array make_bits(typename Env::Ctx ctx, const char* prefix,
                          std::uint32_t count,
                          std::span<const std::uint64_t> words) {
-    return Env::make_bin_array_words(ctx, prefix, count, words);
+    return Env::make_bin_array(ctx, prefix, count, words);
   }
 
   static std::uint32_t size(const Array& a) {
@@ -271,16 +293,17 @@ struct PackedBins {
   template <typename T>
   using Sub = typename Env::template Sub<T>;
 
+  /// One-hot initializer — see the PaddedBins counterpart.
   static Array make(typename Env::Ctx ctx, const char* prefix,
                     std::uint32_t count, std::uint32_t one_index) {
-    return Env::make_packed_bin_array(ctx, prefix, count, one_index);
+    return make_bits(ctx, prefix, count, one_hot_words(count, one_index));
   }
   /// Multi-word initializer — see the PaddedBins counterpart for the word
   /// geometry contract (util::init_word single-sources the tail masking).
   static Array make_bits(typename Env::Ctx ctx, const char* prefix,
                          std::uint32_t count,
                          std::span<const std::uint64_t> words) {
-    return Env::make_packed_bin_array_words(ctx, prefix, count, words);
+    return Env::make_packed_bin_array(ctx, prefix, count, words);
   }
 
   static std::uint32_t size(const Array& a) { return Env::packed_bins(a); }
@@ -394,21 +417,6 @@ typename Bins::template Sub<std::uint32_t> confirm_down(
   co_return val;
 }
 
-/// Bounded exponential backoff for CAS retry loops, configured at the Env
-/// boundary like YieldPolicy (env/fuzz_env.h). Retry loops call
-/// `Env::backoff(attempt)` after each failed CAS: attempt a waits
-/// base_spins << min(attempt, max_exponent) local spins. Purely local
-/// computation — zero shared-memory steps, zero allocations — so SimEnv
-/// defines it as a no-op and step-exact tests are unaffected; only
-/// RtEnv/FuzzEnv actually wait. base_spins == 0 (the default) disables it
-/// everywhere: one predictable branch on the retry path, preserving
-/// existing rt behavior unless a harness or bench opts in via
-/// RtEnv::set_backoff (process-wide; set before worker threads start).
-struct BackoffPolicy {
-  std::uint32_t base_spins = 0;   // 0 = disabled (the default)
-  std::uint32_t max_exponent = 8; // spin count caps at base_spins << this
-};
-
 /// Structural requirements every execution environment satisfies. Kept
 /// intentionally shallow (the awaitable-returning statics cannot be
 /// expressed without picking a coroutine context); the real contract is
@@ -424,7 +432,6 @@ concept ExecutionEnv = requires {
   typename E::template Op<int>;
   typename E::template Sub<int>;
   E::relax();
-  E::backoff(0u);
 };
 
 }  // namespace hi::env

@@ -16,13 +16,14 @@
 // interleavings plain stress loops rarely hit (tests/test_fuzz_rt.cpp
 // demonstrates this with a positive-control broken object).
 //
-// Design: every FuzzEnv primitive delegates to the corresponding RtEnv
-// primitive — same cell types, same atomic bodies, same eager frame-arena
-// Op/Sub tasks, same execute-at-call discipline (detail::Done in env.h) —
-// with YieldInjector::point() running immediately before and after the
-// atomic access, all inside the primitive call itself. Algorithms instantiate unchanged; the injector is thread_local
-// and costs one predictable branch when disarmed, so a disarmed FuzzEnv
-// behaves exactly like RtEnv (modulo that branch).
+// Design: FuzzEnv IS an RtEnv — same cell types, factories, atomic bodies,
+// eager frame-arena Op/Sub tasks and execute-at-call discipline
+// (detail::Done in env.h) — that overrides only the shared-memory
+// primitives, each calling the RtEnv primitive with YieldInjector::point()
+// immediately before and after the atomic access, all inside the primitive
+// call itself. Algorithms instantiate unchanged; the injector is
+// thread_local and costs one predictable branch when disarmed, so a
+// disarmed FuzzEnv behaves exactly like RtEnv (modulo that branch).
 //
 // The injector is DETERMINISTIC per (seed, thread): the decision stream
 // comes from util::Xoshiro256, so a failing (seed, workload) pair is
@@ -158,10 +159,14 @@ class YieldInjector {
   }
 };
 
-/// RtEnv with YieldInjector::point() fencing every primitive. Same Ctx,
-/// cell types, and task types as RtEnv, so any algo-layer body instantiates
-/// over FuzzEnv unchanged and interoperates with RtEnv storage helpers.
-struct FuzzEnv {
+/// RtEnv with YieldInjector::point() fencing every shared-memory primitive.
+/// Everything else — Ctx, Op/Sub, the cell types, the factories, the peeks
+/// and relax() — is inherited, so any algo-layer body instantiates over
+/// FuzzEnv unchanged and interoperates with RtEnv storage helpers. A
+/// primitive missing below would silently run unfenced through RtEnv;
+/// FuzzEnvFence.* in tests/test_fuzz_rt.cpp counts the injection points of
+/// each primitive and fails on that.
+struct FuzzEnv : RtEnv {
  private:
   /// Runs `make` — a thunk invoking one RtEnv primitive, which executes its
   /// atomic access eagerly and returns a Done awaiter — with the injector
@@ -183,88 +188,6 @@ struct FuzzEnv {
   }
 
  public:
-  using Ctx = RtEnv::Ctx;
-
-  template <typename T>
-  using Op = RtEnv::Op<T>;
-  template <typename T>
-  using Sub = RtEnv::Sub<T>;
-
-  using BinArray = RtEnv::BinArray;
-  using PackedBinArray = RtEnv::PackedBinArray;
-  using Value = RtEnv::Value;
-  using Word = RtEnv::Word;
-  using CasCell = RtEnv::CasCell;
-  using WordArray = RtEnv::WordArray;
-
-  // ---- factories and observer-side peeks: no shared-memory step, no
-  // perturbation — delegate verbatim ----
-
-  static BinArray make_bin_array(Ctx ctx, const char* prefix,
-                                 std::uint32_t count, std::uint32_t one_index) {
-    return RtEnv::make_bin_array(ctx, prefix, count, one_index);
-  }
-  static BinArray make_bin_array_words(Ctx ctx, const char* prefix,
-                                       std::uint32_t count,
-                                       std::span<const std::uint64_t> words) {
-    return RtEnv::make_bin_array_words(ctx, prefix, count, words);
-  }
-  static std::uint8_t peek_bit(const BinArray& array, std::uint32_t index) {
-    return RtEnv::peek_bit(array, index);
-  }
-  static std::size_t bin_storage_bytes(const BinArray& array) {
-    return RtEnv::bin_storage_bytes(array);
-  }
-
-  static PackedBinArray make_packed_bin_array(Ctx ctx, const char* prefix,
-                                              std::uint32_t count,
-                                              std::uint32_t one_index) {
-    return RtEnv::make_packed_bin_array(ctx, prefix, count, one_index);
-  }
-  static PackedBinArray make_packed_bin_array_words(
-      Ctx ctx, const char* prefix, std::uint32_t count,
-      std::span<const std::uint64_t> words) {
-    return RtEnv::make_packed_bin_array_words(ctx, prefix, count, words);
-  }
-  static std::uint32_t packed_bins(const PackedBinArray& array) {
-    return RtEnv::packed_bins(array);
-  }
-  static std::uint32_t packed_words(const PackedBinArray& array) {
-    return RtEnv::packed_words(array);
-  }
-  static std::uint64_t peek_packed_word(const PackedBinArray& array,
-                                        std::uint32_t w) {
-    return RtEnv::peek_packed_word(array, w);
-  }
-  static std::size_t packed_storage_bytes(const PackedBinArray& array) {
-    return RtEnv::packed_storage_bytes(array);
-  }
-
-  static CasCell make_cas(Ctx ctx, const std::string& name, Value initial) {
-    return RtEnv::make_cas(ctx, name, initial);
-  }
-  static Word peek_cas(const CasCell& cell) { return RtEnv::peek_cas(cell); }
-  static bool cas_is_lock_free(const CasCell& cell) {
-    return RtEnv::cas_is_lock_free(cell);
-  }
-  static void relax() noexcept { RtEnv::relax(); }
-  /// Backoff shares RtEnv's process-wide policy (local computation only; no
-  /// perturbation point — the injector fences shared-memory accesses, and
-  /// backoff makes none).
-  static void backoff(std::uint32_t attempt) noexcept {
-    RtEnv::backoff(attempt);
-  }
-
-  static WordArray make_word_array(Ctx ctx, const char* prefix,
-                                   std::uint32_t count, std::uint64_t initial) {
-    return RtEnv::make_word_array(ctx, prefix, count, initial);
-  }
-  static std::uint64_t peek_word(const WordArray& array, std::uint32_t index) {
-    return RtEnv::peek_word(array, index);
-  }
-
-  // ---- primitives: RtEnv's atomic bodies fenced by perturbation points ----
-
   static auto read_bit(BinArray& array, std::uint32_t index) {
     return fenced([&] { return RtEnv::read_bit(array, index); });
   }

@@ -263,25 +263,12 @@ struct RtEnv {
 
   using BinArray = std::vector<rt::BinCell>;
 
-  /// Allocates `count` cache-line-padded atomic bytes; slot `one_index`
-  /// (1-based; 0 = none) starts at 1. Construction only — no shared-memory
-  /// step, and the pre-publication stores are unordered (relaxed).
+  /// Allocates `count` cache-line-padded atomic bytes; slot v starts at bit
+  /// (v-1) of the flat multi-word bitmap `words` (util::bin_test; missing
+  /// trailing words read as 0). Construction only — no shared-memory step.
   static BinArray make_bin_array(Ctx, const char* /*prefix*/,
-                                 std::uint32_t count, std::uint32_t one_index) {
-    BinArray array(count);
-    for (auto& cell : array) cell->store(0, std::memory_order_relaxed);
-    if (one_index != 0) {
-      array[one_index - 1]->store(1, std::memory_order_seq_cst);
-    }
-    return array;
-  }
-
-  /// As make_bin_array, but slot v starts at bit (v-1) of the flat
-  /// multi-word bitmap `words` (util::bin_test; missing trailing words read
-  /// as 0 — the §5.1 HI set's bitmap initialization). Construction only.
-  static BinArray make_bin_array_words(Ctx, const char* /*prefix*/,
-                                       std::uint32_t count,
-                                       std::span<const std::uint64_t> words) {
+                                 std::uint32_t count,
+                                 std::span<const std::uint64_t> words) {
     BinArray array(count);
     for (std::uint32_t v = 1; v <= count; ++v) {
       array[v - 1]->store(util::bin_test(words, v) ? 1 : 0,
@@ -289,7 +276,6 @@ struct RtEnv {
     }
     return array;
   }
-
 
   /// read(A[index]) — one seq_cst atomic load; models 1 binary-register-read
   /// step of the paper's model. `index` is 1-based (the paper's A[v]).
@@ -321,29 +307,11 @@ struct RtEnv {
 
   using PackedBinArray = rt::PackedBits;
 
-  /// Allocates ceil(count/64) contiguous atomic words; slot `one_index`
-  /// (1-based; 0 = none) starts at 1. Construction only.
-  static PackedBinArray make_packed_bin_array(Ctx, const char* /*prefix*/,
-                                              std::uint32_t count,
-                                              std::uint32_t one_index) {
-    PackedBinArray array;
-    array.bins = count;
-    array.words = std::vector<std::atomic<std::uint64_t>>(
-        util::bin_words(count));
-    for (auto& word : array.words) {
-      word.store(0, std::memory_order_relaxed);
-    }
-    if (one_index != 0) {
-      array.words[util::bin_word(one_index)].store(util::bin_mask(one_index),
-                                                   std::memory_order_seq_cst);
-    }
-    return array;
-  }
-
-  /// As make_packed_bin_array, but word w starts from `words[w]` (bit v-1
-  /// of the flat bitmap = bin v); missing trailing words read as 0 and bits
-  /// beyond `count` are dropped (util::init_word). Construction only.
-  static PackedBinArray make_packed_bin_array_words(
+  /// Allocates ceil(count/64) contiguous atomic words; word w starts from
+  /// `words[w]` (bit v-1 of the flat bitmap = bin v); missing trailing words
+  /// read as 0 and bits beyond `count` are dropped (util::init_word).
+  /// Construction only.
+  static PackedBinArray make_packed_bin_array(
       Ctx, const char* /*prefix*/, std::uint32_t count,
       std::span<const std::uint64_t> words) {
     PackedBinArray array;
@@ -357,7 +325,6 @@ struct RtEnv {
     }
     return array;
   }
-
 
   static std::uint32_t packed_bins(const PackedBinArray& array) {
     return array.bins;
@@ -428,41 +395,6 @@ struct RtEnv {
   /// shared memory. On real threads, hand the core back so a preempted peer
   /// (e.g. a flat-combining winner mid-phase) can finish.
   static void relax() noexcept { std::this_thread::yield(); }
-
-  /// Process-wide CAS-retry backoff knob (env.h BackoffPolicy). Plain
-  /// (non-atomic) state: set it before worker threads start and leave it
-  /// for the run — benches flip it between rows, harnesses mostly leave the
-  /// disabled default.
-  static void set_backoff(BackoffPolicy policy) noexcept {
-    backoff_policy() = policy;
-  }
-  static BackoffPolicy get_backoff() noexcept { return backoff_policy(); }
-
-  /// Bounded exponential backoff after the `attempt`-th failed CAS of one
-  /// retry loop: base_spins << min(attempt, max_exponent) local pause
-  /// iterations. Purely local — no step, no shared memory, no allocation —
-  /// so the allocs_per_op == 0 steady-state contract is untouched. Disabled
-  /// (base_spins == 0) this is one predictable branch.
-  static void backoff(std::uint32_t attempt) noexcept {
-    const BackoffPolicy& policy = backoff_policy();
-    if (policy.base_spins == 0) return;
-    const std::uint32_t shift =
-        attempt < policy.max_exponent ? attempt : policy.max_exponent;
-    const std::uint64_t spins = std::uint64_t{policy.base_spins} << shift;
-    for (std::uint64_t i = 0; i < spins; ++i) {
-      // Empty asm keeps the pause loop from being optimized away (same
-      // idiom as YieldInjector's spin arm).
-      asm volatile("");
-    }
-  }
-
- private:
-  static BackoffPolicy& backoff_policy() noexcept {
-    static BackoffPolicy policy;
-    return policy;
-  }
-
- public:
 
   // ---- arrays of 64-bit CAS words (per-process announce/result tables) ----
 

@@ -104,9 +104,9 @@ constexpr std::uint64_t bin_live_mask(std::uint32_t count,
 
 /// Word `w` of a multi-word bin initializer: words[w] when present (missing
 /// trailing words read as all-zero), with bits beyond `count` dropped so
-/// tail bins stay 0. The single source for the >64-bin make_bits factories
-/// of all three execution environments — generalizing the historical
-/// single-word `if (count < 64) bits &= (1 << count) - 1` masking.
+/// tail bins stay 0. The single source for the bin-array factories of
+/// every execution environment — generalizing the historical single-word
+/// `if (count < 64) bits &= (1 << count) - 1` masking.
 constexpr std::uint64_t init_word(std::span<const std::uint64_t> words,
                                   std::uint32_t count,
                                   std::uint32_t w) noexcept {

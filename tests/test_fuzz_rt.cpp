@@ -1,6 +1,6 @@
 // Real-thread forced-yield schedule fuzzing (env/fuzz_env.h): every rt
 // object plus the sharded store runs its FuzzEnv instantiation on real
-// threads under seeded yield/backoff injection at each Env primitive
+// threads under seeded yield/spin injection at each Env primitive
 // boundary, with linearizability checked on the recorded history and — for
 // the history-independent objects — the quiescent memory image compared
 // against a solo replay of the linearization witness (HI: the final image
@@ -38,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "algo/hi_set.h"
@@ -126,6 +127,89 @@ typename S::State witness_final_state(const S& spec, const Hist& hist,
     state = spec.apply(state, hist.entries()[idx].op).first;
   }
   return state;
+}
+
+// ------------------------------------------------------------ fence audit
+
+// FuzzEnv inherits everything from RtEnv and overrides only the
+// shared-memory primitives, so a primitive it forgot would silently run
+// unfenced. Count injection points per call with the injector armed but
+// never perturbing: every primitive is fenced on both sides (exactly 2
+// points), and nothing else — factories, peeks, relax — is a boundary.
+TEST(FuzzEnvFence, EveryPrimitiveIsFencedAndNothingElseIs) {
+  env::YieldInjector::arm(/*seed=*/1, env::YieldPolicy{/*permille=*/0});
+  const auto points_of = [](auto&& call) {
+    const std::uint64_t before = env::YieldInjector::points();
+    call();
+    return env::YieldInjector::points() - before;
+  };
+  const FuzzEnv::Ctx ctx{};
+  const std::uint64_t bitmap[] = {0b10};
+
+  FuzzEnv::BinArray bins = FuzzEnv::make_bin_array(ctx, "A", 4, bitmap);
+  FuzzEnv::PackedBinArray packed =
+      FuzzEnv::make_packed_bin_array(ctx, "P", 70, bitmap);
+  FuzzEnv::CasCell cell = FuzzEnv::make_cas(ctx, "X", 0);
+  FuzzEnv::WordArray words = FuzzEnv::make_word_array(ctx, "W", 2, 0);
+  EXPECT_EQ(env::YieldInjector::points(), 0u) << "factories";
+  EXPECT_EQ(points_of([&] {
+              (void)FuzzEnv::peek_bit(bins, 2);
+              (void)FuzzEnv::bin_storage_bytes(bins);
+              (void)FuzzEnv::packed_bins(packed);
+              (void)FuzzEnv::packed_words(packed);
+              (void)FuzzEnv::peek_packed_word(packed, 0);
+              (void)FuzzEnv::packed_storage_bytes(packed);
+              (void)FuzzEnv::peek_cas(cell);
+              (void)FuzzEnv::cas_is_lock_free(cell);
+              (void)FuzzEnv::peek_word(words, 0);
+              FuzzEnv::relax();
+            }),
+            0u)
+      << "peeks and relax";
+
+  using Word = FuzzEnv::Word;
+  const std::pair<const char*, std::uint64_t> primitives[] = {
+      {"read_bit",
+       points_of([&] { (void)FuzzEnv::read_bit(bins, 2).await_resume(); })},
+      {"write_bit",
+       points_of([&] { (void)FuzzEnv::write_bit(bins, 3, 1).await_resume(); })},
+      {"load_packed_word", points_of([&] {
+         (void)FuzzEnv::load_packed_word(packed, 1).await_resume();
+       })},
+      {"or_packed_word", points_of([&] {
+         (void)FuzzEnv::or_packed_word(packed, 1, 1).await_resume();
+       })},
+      {"and_packed_word", points_of([&] {
+         (void)FuzzEnv::and_packed_word(packed, 1, 0).await_resume();
+       })},
+      {"cas_read",
+       points_of([&] { (void)FuzzEnv::cas_read(cell).await_resume(); })},
+      {"cas", points_of([&] {
+         (void)FuzzEnv::cas(cell, Word{0, 0}, Word{1, 0}).await_resume();
+       })},
+      {"cas_write", points_of([&] {
+         (void)FuzzEnv::cas_write(cell, Word{2, 0}).await_resume();
+       })},
+      {"read_word",
+       points_of([&] { (void)FuzzEnv::read_word(words, 1).await_resume(); })},
+      {"write_word", points_of([&] {
+         (void)FuzzEnv::write_word(words, 1, 7).await_resume();
+       })},
+      {"cas_word", points_of([&] {
+         (void)FuzzEnv::cas_word(words, 1, 7, 8).await_resume();
+       })},
+  };
+  for (const auto& [name, points] : primitives) {
+    EXPECT_EQ(points, 2u) << name;
+  }
+  EXPECT_EQ(env::YieldInjector::injected(), 0u);
+  env::YieldInjector::disarm();
+
+  // The primitives still did their work through RtEnv's bodies.
+  EXPECT_EQ(FuzzEnv::peek_bit(bins, 3), 1u);
+  EXPECT_EQ(FuzzEnv::peek_packed_word(packed, 1), 0u);
+  EXPECT_EQ(FuzzEnv::peek_cas(cell).value, 2u);
+  EXPECT_EQ(FuzzEnv::peek_word(words, 1), 8u);
 }
 
 // --------------------------------------------------------- positive control

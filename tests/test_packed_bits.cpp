@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "algo/hi_set.h"
@@ -102,7 +103,7 @@ struct SimPackedFixture {
 TEST(PackedSim, NonMultipleOf64SizesAndWordBoundaryBins) {
   SimPackedFixture sys;
   // K=70 (not a multiple of 64): 2 words, tail bits stay zero.
-  SimArray a = env::SimEnv::make_packed_bin_array(sys.memory, "A", 70, 65);
+  SimArray a = SimBins::make(sys.memory, "A", 70, 65);
   ASSERT_EQ(env::SimEnv::packed_words(a), 2u);
   ASSERT_EQ(env::SimEnv::packed_bins(a), 70u);
   // one_index=65 lands on word 1, bit 0 (the boundary crossing).
@@ -149,8 +150,7 @@ TEST(PackedSim, MultiWordBitsInitializationRoundTrip) {
   const std::vector<std::uint64_t> words{0xdeadbeefcafef00dull,
                                          0x0123456789abcdefull};
   // Two full words: every bin round-trips through util::bin_test geometry.
-  SimArray a =
-      env::SimEnv::make_packed_bin_array_words(sys.memory, "S", 128, words);
+  SimArray a = env::SimEnv::make_packed_bin_array(sys.memory, "S", 128, words);
   ASSERT_EQ(env::SimEnv::packed_words(a), 2u);
   EXPECT_EQ(env::SimEnv::peek_packed_word(a, 0), words[0]);
   EXPECT_EQ(env::SimEnv::peek_packed_word(a, 1), words[1]);
@@ -159,25 +159,22 @@ TEST(PackedSim, MultiWordBitsInitializationRoundTrip) {
         << "bin " << v;
   }
   // 65 bins: word 1 keeps ONLY bit 0 (bin 65) of the initializer.
-  SimArray b =
-      env::SimEnv::make_packed_bin_array_words(sys.memory, "B", 65, words);
+  SimArray b = env::SimEnv::make_packed_bin_array(sys.memory, "B", 65, words);
   EXPECT_EQ(env::SimEnv::peek_packed_word(b, 0), words[0]);
   EXPECT_EQ(env::SimEnv::peek_packed_word(b, 1), words[1] & 1u);
   // K%64 != 0 tail masking: 70 bins of all-ones leave 6 live tail bits.
   const std::vector<std::uint64_t> ones{~std::uint64_t{0}, ~std::uint64_t{0}};
-  SimArray c =
-      env::SimEnv::make_packed_bin_array_words(sys.memory, "C", 70, ones);
+  SimArray c = env::SimEnv::make_packed_bin_array(sys.memory, "C", 70, ones);
   EXPECT_EQ(env::SimEnv::peek_packed_word(c, 1), 0x3fu);
   // Missing trailing words read as all-zero.
   const std::vector<std::uint64_t> short_init{~std::uint64_t{0}};
-  SimArray d = env::SimEnv::make_packed_bin_array_words(sys.memory, "D", 128,
-                                                        short_init);
+  SimArray d =
+      env::SimEnv::make_packed_bin_array(sys.memory, "D", 128, short_init);
   EXPECT_EQ(env::SimEnv::peek_packed_word(d, 0), ~std::uint64_t{0});
   EXPECT_EQ(env::SimEnv::peek_packed_word(d, 1), 0u);
 
   // The padded layout shares the same initializer geometry.
-  auto padded =
-      env::SimEnv::make_bin_array_words(sys.memory, "P", 70, words);
+  auto padded = env::SimEnv::make_bin_array(sys.memory, "P", 70, words);
   for (std::uint32_t v = 1; v <= 70; ++v) {
     EXPECT_EQ(env::SimEnv::peek_bit(padded, v),
               util::bin_test(words, v) ? 1u : 0u)
@@ -219,7 +216,7 @@ TEST(PackedSim, MultiWordHiSetAcrossWordBoundary) {
 
 TEST(PackedSim, ScansOnAllZeroArrayReturnZero) {
   SimPackedFixture sys;
-  SimArray a = env::SimEnv::make_packed_bin_array(sys.memory, "A", 130, 0);
+  SimArray a = SimBins::make(sys.memory, "A", 130, 0);
   ASSERT_EQ(env::SimEnv::packed_words(a), 3u);
   EXPECT_EQ(sys.run(op_scan_up(a, 1)), 0u);
   EXPECT_EQ(sys.run(op_scan_up(a, 128)), 0u);
@@ -254,7 +251,7 @@ TEST(PackedSim, SnapshotIsThePackedWordVector) {
   // representation is itself the memory representation the HI definitions
   // compare.
   SimPackedFixture sys;
-  SimArray a = env::SimEnv::make_packed_bin_array(sys.memory, "A", 70, 3);
+  SimArray a = SimBins::make(sys.memory, "A", 70, 3);
   const auto snap = sys.memory.snapshot();
   ASSERT_EQ(snap.words.size(), 2u);
   EXPECT_EQ(snap.words[0], 4u);
@@ -266,8 +263,7 @@ TEST(PackedSim, SnapshotIsThePackedWordVector) {
 // ---- the same edge cases over RtEnv's eager atomics ----
 
 TEST(PackedRt, NonMultipleOf64SizesAndWordBoundaryBins) {
-  RtArray a = env::RtEnv::make_packed_bin_array(env::RtEnv::Ctx{}, "A", 70,
-                                                65);
+  RtArray a = RtBins::make(env::RtEnv::Ctx{}, "A", 70, 65);
   ASSERT_EQ(env::RtEnv::packed_words(a), 2u);
   EXPECT_EQ(env::RtEnv::peek_packed_word(a, 0), 0u);
   EXPECT_EQ(env::RtEnv::peek_packed_word(a, 1), 1u);
@@ -308,8 +304,8 @@ TEST(PackedRt, BitsInitializationRoundTrip) {
 TEST(PackedRt, MultiWordBitsInitializationRoundTrip) {
   const std::vector<std::uint64_t> words{0xdeadbeefcafef00dull,
                                          0x0123456789abcdefull};
-  RtArray a = env::RtEnv::make_packed_bin_array_words(env::RtEnv::Ctx{}, "S",
-                                                      128, words);
+  RtArray a =
+      env::RtEnv::make_packed_bin_array(env::RtEnv::Ctx{}, "S", 128, words);
   ASSERT_EQ(env::RtEnv::packed_words(a), 2u);
   EXPECT_EQ(env::RtEnv::peek_packed_word(a, 0), words[0]);
   EXPECT_EQ(env::RtEnv::peek_packed_word(a, 1), words[1]);
@@ -319,11 +315,11 @@ TEST(PackedRt, MultiWordBitsInitializationRoundTrip) {
   }
   // K%64 != 0 tail masking across the boundary (65 and 70 bins).
   const std::vector<std::uint64_t> ones{~std::uint64_t{0}, ~std::uint64_t{0}};
-  RtArray b = env::RtEnv::make_packed_bin_array_words(env::RtEnv::Ctx{}, "B",
-                                                      65, ones);
+  RtArray b =
+      env::RtEnv::make_packed_bin_array(env::RtEnv::Ctx{}, "B", 65, ones);
   EXPECT_EQ(env::RtEnv::peek_packed_word(b, 1), 1u);
-  RtArray c = env::RtEnv::make_packed_bin_array_words(env::RtEnv::Ctx{}, "C",
-                                                      70, ones);
+  RtArray c =
+      env::RtEnv::make_packed_bin_array(env::RtEnv::Ctx{}, "C", 70, ones);
   EXPECT_EQ(env::RtEnv::peek_packed_word(c, 1), 0x3fu);
 }
 
@@ -349,13 +345,40 @@ TEST(PackedRt, MultiWordHiSetSnapshotMembers) {
 TEST(PackedRt, FootprintIsTwoCacheLinesAtK1024) {
   // The representation/bit-complexity tradeoff the packing buys: K=1024
   // bins in 128 contiguous bytes, vs 64 KiB of padded per-bit cells.
-  RtArray packed = env::RtEnv::make_packed_bin_array(env::RtEnv::Ctx{}, "A",
-                                                     1024, 1);
+  RtArray packed = RtBins::make(env::RtEnv::Ctx{}, "A", 1024, 1);
   EXPECT_EQ(RtBins::footprint_bytes(packed), 128u);
-  auto padded = env::RtEnv::make_bin_array(env::RtEnv::Ctx{}, "A", 1024, 1);
+  auto padded =
+      env::PaddedBins<env::RtEnv>::make(env::RtEnv::Ctx{}, "A", 1024, 1);
   EXPECT_EQ(env::PaddedBins<env::RtEnv>::footprint_bytes(padded),
             1024u * sizeof(rt::BinCell));
   EXPECT_GE(sizeof(rt::BinCell), 64u);
+}
+
+// ---- the one-hot factory's range check ----
+//
+// A register's initial value is a one-hot bin; an index past K used to
+// write past the padded cell vector or set a tail bit beyond K (a packed
+// Read then returned it). env::one_hot_words rejects it before any cell
+// exists, so Release builds (no constructor assert) fail loudly too.
+
+TEST(OneHotFactory, OutOfRangeIndexThrowsOnRt) {
+  const env::RtEnv::Ctx ctx{};
+  EXPECT_THROW((algo::LockFreeHiAlgPadded<env::RtEnv>(ctx, 4, 5)),
+               std::invalid_argument);
+  EXPECT_THROW((algo::LockFreeHiAlgPacked<env::RtEnv>(ctx, 70, 127)),
+               std::invalid_argument);
+  // The boundary itself is a valid one-hot bin.
+  algo::LockFreeHiAlgPacked<env::RtEnv> reg(ctx, 70, 70);
+  EXPECT_EQ(reg.read().get(), 70u);
+}
+
+TEST(OneHotFactory, OutOfRangeIndexThrowsOnSimBeforeRegistering) {
+  sim::Memory memory;
+  EXPECT_THROW((algo::LockFreeHiAlgPadded<env::SimEnv>(memory, 4, 5)),
+               std::invalid_argument);
+  EXPECT_THROW((algo::LockFreeHiAlgPacked<env::SimEnv>(memory, 70, 127)),
+               std::invalid_argument);
+  EXPECT_EQ(memory.num_objects(), 0u) << "no cell may be registered";
 }
 
 // ---- re-derived sim step counts for the packed hot paths ----

@@ -398,7 +398,7 @@ TEST(SimCells, PackedFetchOrAndFetchAnd) {
 TEST(SimCells, BinaryReadWrite) {
   Memory mem;
   Scheduler sched(1);
-  SimEnv::BinArray bins = SimEnv::make_bin_array(mem, "A", 3, 2);
+  SimEnv::BinArray bins = env::PaddedBins<SimEnv>::make(mem, "A", 3, 2);
   EXPECT_EQ(mem.snapshot().words, (std::vector<std::uint64_t>{0, 1, 0}));
   EXPECT_EQ(step_once(sched, SimEnv::read_bit(bins, 2)), 1u);
   EXPECT_TRUE(step_once(sched, SimEnv::write_bit(bins, 3, 1)));
