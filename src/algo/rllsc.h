@@ -10,20 +10,25 @@
 // Store are single primitives. The retry loops use the environment's
 // failure-word CAS (Env::cas returns the word it observed), so a failed
 // retry costs ONE 16-byte atomic on hardware — not a CAS plus a re-read —
-// and one simulator step; the sim step-exact tests pin this sequence. The interleaved-LL entry point realizes
-// Algorithm 5's `‖` construction: between successive CAS attempts of a
-// (possibly blocking) LL, one step of the caller-provided right-hand-side
-// poll runs, and a true poll abandons the LL (leaving at most a context
-// trace, which the caller's RL erases — line 18R.2).
+// and one simulator step; the sim step-exact tests pin this sequence. The
+// interleaved-LL entry point realizes Algorithm 5's `‖` construction:
+// between successive CAS attempts of a (possibly blocking) LL, one step of
+// the caller-provided right-hand-side poll runs, and a true poll abandons
+// the LL (leaving at most a context trace, which the caller's RL erases —
+// line 18R.2).
 //
 // Process identities are explicit small integers (0..63) supplied by the
 // caller, exactly as the paper's p_i; the simulator wrapper recovers them
 // from the scheduler so existing call sites stay pid-implicit.
 //
-// LL, the interleaved LL, SC and RL loop, so they are Sub coroutines (on
-// RtEnv their frames come from the per-thread arena, env/rt_env.h). VL,
-// Load and Store are one primitive each and return its awaitable, mapped by
-// env::detail::MapAwait where needed: no frame (docs/ENV.md).
+// Frame discipline: no entry point is a coroutine. LL, the interleaved LL,
+// SC and RL are each ONE env::CasPlan (when to stop without a CAS, the word
+// to install, what to return, the optional poll) handed to the
+// environment's loop driver Env::cas_retry (env/env.h, docs/ENV.md): on
+// SimEnv that is one SubTask stepping the plan's sequence, on RtEnv and
+// FuzzEnv a plain loop returning a Done awaiter — no frame. VL, Load and
+// Store are one primitive each and return its awaitable, mapped by
+// env::detail::MapAwait where needed.
 #pragma once
 
 #include <cassert>
@@ -38,13 +43,19 @@
 
 namespace hi::algo {
 
+/// The default `unlinked_if` of ll_interleaved: every value gets linked.
+struct LinkEvery {
+  template <typename V>
+  bool operator()(const V&) const {
+    return false;
+  }
+};
+
 template <typename Env>
 class CasRllscAlg {
  public:
   using V = typename Env::Value;
   using Word = typename Env::Word;
-  template <typename T>
-  using Sub = typename Env::template Sub<T>;
 
   CasRllscAlg(typename Env::Ctx ctx, std::string name, V initial)
       : cell_(Env::make_cas(ctx, std::move(name), initial)) {}
@@ -53,34 +64,33 @@ class CasRllscAlg {
   /// interference. Lock-free; may run forever under contention. A failed CAS
   /// reports the word it observed, which becomes the next attempt's
   /// expectation — one primitive per retry, no separate re-read.
-  Sub<V> ll(int pid) {
-    Word cur = co_await Env::cas_read(cell_);
-    for (;;) {
-      Word linked = cur;
-      linked.ctx = util::set_bit(linked.ctx, bit(pid));
-      const CasResult<Word> r = co_await Env::cas(cell_, cur, linked);
-      if (r.installed) co_return cur.value;
-      cur = r.observed;
-    }
+  auto ll(int pid) {
+    return Env::cas_retry(
+        cell_, env::CasPlan{[](const Word&) { return false; }, link(pid),
+                            [](const Word& cur, bool) { return cur.value; }});
   }
 
   /// LL with Algorithm 5's `‖` right-hand side: after every failed CAS
   /// attempt run one poll; a true poll abandons the LL and yields nullopt.
   /// `poll` is a nullary callable returning an awaitable of bool. The next
   /// attempt reuses the failed CAS's observed word (any write racing with
-  /// the poll just fails that CAS, which re-observes).
-  template <typename Poll>
-  Sub<std::optional<V>> ll_interleaved(int pid, Poll poll) {
-    Word cur = co_await Env::cas_read(cell_);
-    for (;;) {
-      Word linked = cur;
-      linked.ctx = util::set_bit(linked.ctx, bit(pid));
-      const CasResult<Word> r = co_await Env::cas(cell_, cur, linked);
-      if (r.installed) co_return cur.value;
-      const bool bail = co_await poll();
-      if (bail) co_return std::nullopt;
-      cur = r.observed;
-    }
+  /// the poll just fails that CAS, which re-observes). A value satisfying
+  /// `unlinked_if` — seen by the first Read or by a failed CAS — is returned
+  /// as it stands, without a CAS and without linking: a read, for values
+  /// the caller will never SC or VL against (Algorithm 5's combining
+  /// records, docs/PAPER_MAP.md "Combining deviation").
+  template <typename Poll, typename Unlinked = LinkEvery>
+  auto ll_interleaved(int pid, Poll poll, Unlinked unlinked_if = {}) {
+    return Env::cas_retry(
+        cell_, env::CasPlan{
+                   [unlinked_if](const Word& cur) {
+                     return unlinked_if(cur.value);
+                   },
+                   link(pid),
+                   [](const Word& cur, bool) {
+                     return std::optional<V>{cur.value};
+                   },
+                   std::move(poll)});
   }
 
   /// VL(O) — lines 12–13: one Read, the caller's bit tested locally.
@@ -92,27 +102,24 @@ class CasRllscAlg {
 
   /// SC(O, new) — lines 7–11: succeeds iff the caller is still linked.
   /// Failed CAS attempts feed their observed word into the re-check.
-  Sub<bool> sc(int pid, V desired) {
-    Word cur = co_await Env::cas_read(cell_);
-    while (util::test_bit(cur.ctx, bit(pid))) {
-      const CasResult<Word> r = co_await Env::cas(cell_, cur, Word{desired, 0});
-      if (r.installed) co_return true;
-      cur = r.observed;
-    }
-    co_return false;
+  auto sc(int pid, V desired) {
+    return Env::cas_retry(
+        cell_, env::CasPlan{unlinked(pid),
+                            [desired](const Word&) { return Word{desired, 0}; },
+                            [](const Word&, bool installed) {
+                              return installed;
+                            }});
   }
 
   /// RL(O) — lines 14–20: removes the caller from the context; always true.
-  Sub<bool> rl(int pid) {
-    Word cur = co_await Env::cas_read(cell_);
-    while (util::test_bit(cur.ctx, bit(pid))) {
-      Word released = cur;
-      released.ctx = util::clear_bit(released.ctx, bit(pid));
-      const CasResult<Word> r = co_await Env::cas(cell_, cur, released);
-      if (r.installed) co_return true;
-      cur = r.observed;
-    }
-    co_return true;
+  auto rl(int pid) {
+    return Env::cas_retry(
+        cell_, env::CasPlan{unlinked(pid),
+                            [pid](Word cur) {
+                              cur.ctx = util::clear_bit(cur.ctx, bit(pid));
+                              return cur;
+                            },
+                            [](const Word&, bool) { return true; }});
   }
 
   /// Load(O) — lines 21–22.
@@ -138,6 +145,17 @@ class CasRllscAlg {
 
  private:
   static unsigned bit(int pid) { return static_cast<unsigned>(pid); }
+  /// The word with the caller's context bit set (LL's install).
+  static auto link(int pid) {
+    return [pid](Word cur) {
+      cur.ctx = util::set_bit(cur.ctx, bit(pid));
+      return cur;
+    };
+  }
+  /// SC and RL stop without a CAS once the caller's bit is gone.
+  static auto unlinked(int pid) {
+    return [pid](const Word& cur) { return !util::test_bit(cur.ctx, bit(pid)); };
+  }
 
   typename Env::CasCell cell_;
 };

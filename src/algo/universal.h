@@ -44,9 +44,11 @@
 // announce cells, folds every pending operation into one state transition
 // (ascending pid order), and installs a single *combining record*
 // ⟨q_final, combining-bit, winner⟩ with that SC. While the record is in
-// head, every other process's LL simply retries (the record is inert to
-// helpers), and the winner alone Stores each helped response into its
-// announce cell, then Stores head back to ⟨q_final, ⊥⟩. Exactly-once: a
+// head, every other process's line-6 LL reads it without linking it and
+// retries from line 5 (the record is inert to helpers), and the winner
+// alone Stores each helped response into its announce cell and ⊥ into its
+// own, then Stores head back to ⟨q_final, ⊥⟩ and returns the response it
+// folded for itself. Exactly-once: a
 // successful SC means head was untouched over [LL, SC], and responses are
 // only ever written under a combining record, so every op the winner saw as
 // pending is genuinely unapplied and nobody else writes responses during
@@ -62,23 +64,28 @@
 // For the same reason lines 25–26 are skipped: their LL could only set the
 // caller's context bit for the line-27 RL to clear again, two CAS steps on
 // the hottest word. Line 27 alone still erases a bit left by a line-6 LL
-// (the process exits at line 5 after a winner served it).
+// (the process exits at line 5 after a winner served it). The winner skips
+// lines 5, 24, 27 and 28 as well: its own response is local, its cell
+// already went to ⊥ under the record, and its SC reset head's context.
 // The trade is the classic flat-combining one: a stalled winner blocks the
 // batch, so combine=true is lock-free, not wait-free. combine=false (the
 // default) is the paper's wait-free Algorithm 5, unchanged.
 //
 // This body contains no CAS retry loop of its own — every retry lives in
-// the R-LLSC cell it is composed over, so when Cell = CasRllscAlg the
+// the R-LLSC cell it is composed over (and, for CasRllscAlg, in the
+// environment's loop driver that runs the cell's plans), so the
 // failure-word CAS (docs/ENV.md) applies to all of Algorithm 5's LL/SC/RL
 // traffic: one atomic per failed low-level retry, on both backends.
 //
 // Frame discipline: apply() forwards to apply_read_only/apply_update by
-// returning the callee's task (no extra coroutine frame). Below it only the
-// cell's looping LL/SC/RL are Sub coroutines; Load/Store/VL and the
-// response_ready / head_clear_of ‖-polls return their one primitive's
-// awaitable and mint no frame (tests/test_rt_alloc.cpp pins frames per op).
-// On RtEnv frames recycle through the per-thread frame arena (env/rt_env.h):
-// an update makes zero steady-state heap allocations however much it helps.
+// returning the callee's task (no extra coroutine frame), and that Op is
+// the only frame an operation mints on RtEnv/FuzzEnv. The cell's LL/SC/RL
+// are CAS plans run by the environment's loop driver (a plain loop on the
+// eager backends), and Load/Store/VL and the response_ready / head_clear_of
+// ‖-polls return their one primitive's awaitable (tests/test_rt_alloc.cpp
+// pins frames per op). The Op frame recycles through the per-thread frame
+// arena (env/rt_env.h): an update makes zero steady-state heap allocations
+// however much it helps.
 #pragma once
 
 #include <array>
@@ -260,13 +267,19 @@ class UniversalAlg {
     co_await my_cell.store(Codec::announce_op(my_op_word));  // line 4
 
     const auto poll_helped = [this, pid] { return response_ready(pid); };
+    // Line 6's `unlinked_if`: a combining record is only ever waited out,
+    // never SC'd or VL'd against, so the LL returns it without linking.
+    const auto is_combining_record = [](V v) {
+      return Codec::decode_head(v).combining;
+    };
     for (;;) {
       const V mine = co_await my_cell.load();  // line 5
       if (Codec::is_resp(mine)) break;
 
-      // Line 6: ⟨q,r⟩ ← LL(head) ‖ bail once announce[pid] ∈ R (6R).
+      // Line 6: ⟨q,r⟩ ← LL(head) ‖ bail once announce[pid] ∈ R (6R). A
+      // combining record comes back unlinked (only combine mode makes one).
       const std::optional<V> head_raw =
-          co_await head_.ll_interleaved(pid, poll_helped);
+          co_await head_.ll_interleaved(pid, poll_helped, is_combining_record);
       if (!head_raw.has_value()) break;  // 6R.2: goto line 24
       const HeadView head_view = Codec::decode_head(*head_raw);
 
@@ -274,10 +287,11 @@ class UniversalAlg {
         // Flat-combining protocol (header comment). A combining record in
         // head means another winner is mid-phase: its responses are in
         // flight through the announce cells, so just retry from line 5
-        // (ours may be among them). Hand the core back first — on an
-        // oversubscribed machine the winner may be preempted mid-phase,
-        // and hard-spinning on its record burns the slice it needs (no
-        // step; sim no-op).
+        // (ours may be among them). The LL read the record without linking
+        // it, so nothing is left on head to erase. Hand the core back
+        // first — on an oversubscribed machine the winner may be preempted
+        // mid-phase, and hard-spinning on its record burns the slice it
+        // needs (no step; sim no-op).
         if (head_view.combining) {
           Env::relax();
           continue;
@@ -292,9 +306,11 @@ class UniversalAlg {
         // later waits for the next winner.
         std::uint64_t batch = 0;
         std::array<std::uint32_t, 64> rsps;
+        V own = Codec::bottom();
         auto state = spec_.decode_state(head_view.state);
         for (int j = 0; j < n_; ++j) {
           const V aj = co_await announce_[j].load();
+          if (j == pid) own = aj;
           if (!Codec::is_op(aj)) continue;
           batch |= std::uint64_t{1} << j;
           auto [next, rsp] =
@@ -314,17 +330,29 @@ class UniversalAlg {
         // SC means head was untouched over [LL, SC], hence no response was
         // written anywhere in that window and every scanned op is still in
         // its cell with its owner parked at line 5 — so nobody contends
-        // these Stores (which also reset the cells' contexts).
+        // these Stores (which also reset the cells' contexts). The winner
+        // already holds its own response, so its own cell goes straight
+        // to ⊥ (line 28) and it returns after the release: lines 5, 24 and
+        // 28 would only re-read and clear that cell, and line 27 has no bit
+        // to erase, since the SC reset head's context and announce cells
+        // are never linked in this mode.
         *batches_installed_[pid] += 1;
         *ops_combined_[pid] += static_cast<std::uint64_t>(std::popcount(batch));
         for (int j = 0; j < n_; ++j) {
-          if (((batch >> j) & 1u) == 0) continue;
-          co_await announce_[j].store(
-              Codec::announce_resp(rsps[static_cast<std::size_t>(j)]));
+          if (j == pid) {
+            co_await my_cell.store(Codec::bottom());
+          } else if (((batch >> j) & 1u) != 0) {
+            co_await announce_[j].store(
+                Codec::announce_resp(rsps[static_cast<std::size_t>(j)]));
+          }
         }
         co_await head_.store(
             Codec::make_head(spec_.encode_state(state), std::nullopt));
-        continue;  // line 5 picks up our own response (if we were served)
+        // Our op was in the batch unless an earlier winner served it after
+        // our line-5 Load; then the scan read that response.
+        co_return spec_.decode_resp(
+            Codec::is_op(own) ? rsps[static_cast<std::size_t>(pid)]
+                              : Codec::payload(own));
       }
 
       if (!head_view.has_response) {  // line 7: in-between operations

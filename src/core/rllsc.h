@@ -78,10 +78,13 @@ class NativeRllsc {
 
   /// Native LL is wait-free, so interleaving is unnecessary for progress;
   /// one poll runs first so a ready response is still honored promptly.
-  /// `poll` is a nullary callable returning an awaitable of bool.
-  template <typename Poll>
-  sim::SubTask<std::optional<std::uint64_t>> ll_interleaved(int pid,
-                                                            Poll poll) {
+  /// `poll` is a nullary callable returning an awaitable of bool. The
+  /// native LL links in its one step, with no read to inspect first, so
+  /// `unlinked_if` (CasRllscAlg::ll_interleaved) cannot apply: every value
+  /// is linked.
+  template <typename Poll, typename Unlinked = algo::LinkEvery>
+  sim::SubTask<std::optional<std::uint64_t>> ll_interleaved(
+      int pid, Poll poll, Unlinked /*unlinked_if*/ = {}) {
     assert_self(pid);
     const bool bail = co_await poll();
     if (bail) co_return std::nullopt;

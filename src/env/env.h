@@ -20,6 +20,10 @@
 //   Value, CasCell + cas_read/cas/cas_write/peek_cas
 //                             — one CAS base object over CtxWord<Value>, the
 //                               base object of Algorithm 6 (§6.3);
+//   cas_retry(cell, plan)     — the CAS retry loop over that object, driven
+//                               by the backend from a CasPlan (below): a
+//                               SubTask in the simulator, a plain loop
+//                               returning a Done awaiter on hardware;
 //   WordArray + read_word/write_word/cas_word/peek_word
 //                             — an array of 64-bit CAS words, the
 //                               per-process announce/result tables of the
@@ -63,6 +67,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -113,6 +118,8 @@ struct [[nodiscard]] Done {
   bool await_ready() const noexcept { return true; }
   void await_suspend(std::coroutine_handle<>) const noexcept {}
   T await_resume() { return std::move(value); }
+  /// Synchronous extraction, the EagerTask call shape (`alg.op(…).get()`).
+  T get() { return std::move(value); }
 };
 
 /// An already-computed value as an awaitable; also lets bool-returning
@@ -123,6 +130,45 @@ auto ready(T value) {
 }
 
 }  // namespace detail
+
+/// The poll slot of a CasPlan that has no `‖` right-hand side.
+struct NoPoll {};
+
+/// One CAS retry loop over a CasCell, written as data; the environment's
+/// `cas_retry(cell, plan)` driver owns the loop (docs/ENV.md "The CAS
+/// retry driver"). Every driver takes exactly this primitive sequence:
+///
+///   cur ← Read(X)                                       1 step
+///   loop: settled(cur)  → return result(cur, false)      no step
+///         CAS(X, cur, desired(cur))                     1 step
+///         installed     → return result(cur, true)
+///         poll()        → true: return Result{}          1 step (if polled)
+///         cur ← the word the failed CAS observed
+///
+/// so each Algorithm 6 operation is one plan (algo/rllsc.h), SimEnv awaits
+/// the sequence step by step in one SubTask, and the eager backends run it
+/// as a plain loop with no coroutine frame. `poll` is a nullary callable
+/// returning an awaitable of bool; a plan that polls has a Result whose
+/// value-initialised form means "abandoned" (std::nullopt).
+template <typename Settled, typename Desired, typename ResultFn,
+          typename Poll = NoPoll>
+struct CasPlan {
+  Settled settled;
+  Desired desired;
+  ResultFn result;
+  Poll poll{};
+
+  static constexpr bool kPolls = !std::is_same_v<Poll, NoPoll>;
+};
+template <typename S, typename D, typename R>
+CasPlan(S, D, R) -> CasPlan<S, D, R>;
+template <typename S, typename D, typename R, typename P>
+CasPlan(S, D, R, P) -> CasPlan<S, D, R, P>;
+
+/// What `cas_retry(cell, plan)` yields for a cell of `Word`s.
+template <typename Plan, typename Word>
+using CasPlanResult =
+    std::invoke_result_t<decltype(Plan::result)&, const Word&, bool>;
 
 // ---------------------------------------------------------------------------
 // Bin-array layouts and the word-scan library.

@@ -159,13 +159,14 @@ class YieldInjector {
   }
 };
 
-/// RtEnv with YieldInjector::point() fencing every shared-memory primitive.
-/// Everything else — Ctx, Op/Sub, the cell types, the factories, the peeks
-/// and relax() — is inherited, so any algo-layer body instantiates over
-/// FuzzEnv unchanged and interoperates with RtEnv storage helpers. A
-/// primitive missing below would silently run unfenced through RtEnv;
+/// RtEnv with YieldInjector::point() fencing every shared-memory primitive,
+/// and the CAS retry driver re-bound to those fenced primitives. Everything
+/// else — Ctx, Op/Sub, the cell types, the factories, the peeks and relax()
+/// — is inherited, so any algo-layer body instantiates over FuzzEnv
+/// unchanged and interoperates with RtEnv storage helpers. A primitive (or
+/// the driver) missing below would silently run unfenced through RtEnv;
 /// FuzzEnvFence.* in tests/test_fuzz_rt.cpp counts the injection points of
-/// each primitive and fails on that.
+/// each primitive and of the driver's steps, and fails on that.
 struct FuzzEnv : RtEnv {
  private:
   /// Runs `make` — a thunk invoking one RtEnv primitive, which executes its
@@ -216,6 +217,12 @@ struct FuzzEnv : RtEnv {
   }
   static auto cas_write(CasCell& cell, const Word& desired) {
     return fenced([&] { return RtEnv::cas_write(cell, desired); });
+  }
+  /// RtEnv's eager driver stepped by the fenced cas_read/cas above, so every
+  /// attempt of an R-LLSC retry loop is a pair of injection points.
+  template <typename Plan>
+  static auto cas_retry(CasCell& cell, Plan plan) {
+    return detail::eager_cas_retry<FuzzEnv>(cell, plan);
   }
 
   static auto read_word(WordArray& array, std::uint32_t index) {

@@ -247,6 +247,34 @@ class [[nodiscard]] EagerTask {
   std::coroutine_handle<promise_type> handle_{};
 };
 
+namespace detail {
+
+/// The eager backends' CAS retry driver: the CasPlan loop (env.h) as a
+/// plain loop over `Prims`'s primitives, each of which executes its atomic
+/// at the call, so the whole loop runs inside this call with no coroutine
+/// frame and only the result rides back in a Done. `Prims` is the backend
+/// whose primitives step the loop (RtEnv, or FuzzEnv for the fenced ones).
+template <typename Prims, typename Plan>
+Done<CasPlanResult<Plan, typename Prims::Word>> eager_cas_retry(
+    typename Prims::CasCell& cell, Plan& plan) {
+  using Word = typename Prims::Word;
+  Word cur = Prims::cas_read(cell).await_resume();
+  for (;;) {
+    if (plan.settled(cur)) return {plan.result(cur, false)};
+    const algo::CasResult<Word> r =
+        Prims::cas(cell, cur, plan.desired(cur)).await_resume();
+    if (r.installed) return {plan.result(cur, true)};
+    if constexpr (Plan::kPolls) {
+      auto poll = plan.poll();
+      assert(poll.await_ready() && "eager polls complete at the call");
+      if (poll.await_resume()) return {};
+    }
+    cur = r.observed;
+  }
+}
+
+}  // namespace detail
+
 struct RtEnv {
   struct Ctx {};  // hardware objects own their storage; nothing to register
 
@@ -384,6 +412,12 @@ struct RtEnv {
   static auto cas_write(CasCell& cell, const Word& desired) {
     rt::cas128_write(cell, desired);
     return detail::ready(true);
+  }
+  /// The CasPlan retry loop (env.h) run eagerly: one cas_read, then one
+  /// CMPXCHG16B per attempt, all inside this call — no frame.
+  template <typename Plan>
+  static auto cas_retry(CasCell& cell, Plan plan) {
+    return detail::eager_cas_retry<RtEnv>(cell, plan);
   }
   /// Observer-side peek — not an algorithm step.
   static Word peek_cas(const CasCell& cell) { return rt::cas128_read(cell); }

@@ -177,6 +177,25 @@ struct SimEnv {
   static auto cas_write(CasCell& cell, const Word& desired) {
     return cell->write(desired);
   }
+  /// The CasPlan retry loop (env.h) as one SubTask: the cas_read, each CAS
+  /// attempt and each poll is its own scheduler-granted step, in the
+  /// sequence the plan contract fixes.
+  template <typename Plan>
+  static sim::SubTask<CasPlanResult<Plan, Word>> cas_retry(CasCell& cell,
+                                                           Plan plan) {
+    Word cur = co_await cas_read(cell);
+    for (;;) {
+      if (plan.settled(cur)) co_return plan.result(cur, false);
+      const algo::CasResult<Word> r =
+          co_await cas(cell, cur, plan.desired(cur));
+      if (r.installed) co_return plan.result(cur, true);
+      if constexpr (Plan::kPolls) {
+        const bool bail = co_await plan.poll();
+        if (bail) co_return CasPlanResult<Plan, Word>{};
+      }
+      cur = r.observed;
+    }
+  }
   /// Observer-side peek of the full CAS word — 0 steps.
   static Word peek_cas(const CasCell& cell) { return cell->peek(); }
   /// The model's CAS step is atomic by construction: the scheduler grants

@@ -6,10 +6,10 @@
 // operation on an Atomic128 word (CMPXCHG16B via -mcx16); the simulator
 // instantiation of the SAME body is core::CasRllsc. Process identities are
 // explicit small integers (0..63) supplied by the caller, exactly as the
-// paper's p_i. The wrappers consume LL/SC/RL EagerTasks synchronously, so
-// their frames recycle through the calling thread's FrameArena; VL/Load/
-// Store have no frame (await_resume() takes the value). Zero steady-state
-// heap allocations either way (BENCH_rllsc.json allocs_per_op).
+// paper's p_i. No entry point mints a coroutine frame: LL/SC/RL run
+// RtEnv's eager CAS retry driver and VL/Load/Store one primitive, each at
+// the call, and the wrappers take the value from the returned awaiter. Zero
+// heap allocations (BENCH_rllsc.json allocs_per_op).
 #pragma once
 
 #include <cassert>

@@ -8,11 +8,12 @@
 // substitution carried by Word64HeadCodec): encoded abstract
 // states ≤ 32 bits, responses ≤ 24 bits, ≤ 64 processes.
 //
-// apply() consumes the algorithm's EagerTask on the calling thread; the
-// frames under it (the cells' LL/SC/RL — Load/Store/VL and the ‖-polls have
-// none) recycle through that thread's FrameArena, so an operation — however
-// much helping it performs — makes zero steady-state heap allocations
-// (tests/test_rt_alloc.cpp, BENCH_universal.json allocs_per_op).
+// apply() consumes the algorithm's EagerTask on the calling thread. That Op
+// frame is the only one an operation mints (the cells' LL/SC/RL run RtEnv's
+// eager CAS retry driver; Load/Store/VL and the ‖-polls are one primitive),
+// and it recycles through that thread's FrameArena, so an operation —
+// however much helping it performs — makes zero steady-state heap
+// allocations (tests/test_rt_alloc.cpp, BENCH_universal.json allocs_per_op).
 #pragma once
 
 #include <cassert>

@@ -132,10 +132,12 @@ typename S::State witness_final_state(const S& spec, const Hist& hist,
 // ------------------------------------------------------------ fence audit
 
 // FuzzEnv inherits everything from RtEnv and overrides only the
-// shared-memory primitives, so a primitive it forgot would silently run
+// shared-memory primitives and the CAS retry driver, so a primitive it
+// forgot, or a driver left stepping RtEnv's primitives, would silently run
 // unfenced. Count injection points per call with the injector armed but
 // never perturbing: every primitive is fenced on both sides (exactly 2
-// points), and nothing else — factories, peeks, relax — is a boundary.
+// points), the driver pays 2 per primitive step it takes, and nothing
+// else — factories, peeks, relax — is a boundary.
 TEST(FuzzEnvFence, EveryPrimitiveIsFencedAndNothingElseIs) {
   env::YieldInjector::arm(/*seed=*/1, env::YieldPolicy{/*permille=*/0});
   const auto points_of = [](auto&& call) {
@@ -150,6 +152,7 @@ TEST(FuzzEnvFence, EveryPrimitiveIsFencedAndNothingElseIs) {
   FuzzEnv::PackedBinArray packed =
       FuzzEnv::make_packed_bin_array(ctx, "P", 70, bitmap);
   FuzzEnv::CasCell cell = FuzzEnv::make_cas(ctx, "X", 0);
+  FuzzEnv::CasCell loop_cell = FuzzEnv::make_cas(ctx, "L", 0);
   FuzzEnv::WordArray words = FuzzEnv::make_word_array(ctx, "W", 2, 0);
   EXPECT_EQ(env::YieldInjector::points(), 0u) << "factories";
   EXPECT_EQ(points_of([&] {
@@ -202,6 +205,44 @@ TEST(FuzzEnvFence, EveryPrimitiveIsFencedAndNothingElseIs) {
   for (const auto& [name, points] : primitives) {
     EXPECT_EQ(points, 2u) << name;
   }
+
+  // The eager CAS retry driver steps through the fenced primitives: one
+  // injection pair per step it takes. Staged: the Read, a CAS that fails
+  // (the settled check overwrites the cell through RtEnv, unfenced), the
+  // poll's fenced Read, then the installing CAS — 4 steps, 8 points.
+  bool overwritten = false;
+  const std::uint64_t driver_points = points_of([&] {
+    const std::uint64_t seen =
+        FuzzEnv::cas_retry(
+            loop_cell,
+            env::CasPlan{
+                [&](const Word&) {
+                  if (!overwritten) {
+                    (void)env::RtEnv::cas_write(loop_cell, Word{9, 0})
+                        .await_resume();
+                  }
+                  overwritten = true;
+                  return false;
+                },
+                [](const Word& cur) { return Word{cur.value + 1, 0}; },
+                [](const Word& cur, bool) { return cur.value; },
+                [&] {
+                  return env::detail::MapAwait{FuzzEnv::cas_read(loop_cell),
+                                               [](const Word&) {
+                                                 return false;
+                                               }};
+                }})
+            .get();
+    EXPECT_EQ(seen, 9u);
+  });
+  EXPECT_EQ(driver_points, 8u) << "cas_retry: 2 per primitive step";
+  EXPECT_EQ(FuzzEnv::peek_cas(loop_cell).value, 10u);
+  // The same driver under Algorithm 6's plans: LL = Read + CAS, SC = Read +
+  // CAS, RL of an unlinked caller = Read alone.
+  algo::CasRllscAlg<FuzzEnv> rllsc(ctx, "R", 0);
+  EXPECT_EQ(points_of([&] { (void)rllsc.ll(0).get(); }), 4u) << "ll";
+  EXPECT_EQ(points_of([&] { (void)rllsc.sc(0, 1).get(); }), 4u) << "sc";
+  EXPECT_EQ(points_of([&] { (void)rllsc.rl(0).get(); }), 2u) << "rl";
   EXPECT_EQ(env::YieldInjector::injected(), 0u);
   env::YieldInjector::disarm();
 

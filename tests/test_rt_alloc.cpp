@@ -18,14 +18,17 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "algo/hi_set.h"
 #include "algo/max_register.h"
 #include "algo/registers.h"
+#include "algo/rllsc.h"
 #include "algo/wait_free_sim.h"
 #include "core/hi_register_lockfree.h"
+#include "env/fuzz_env.h"
 #include "env/rt_env.h"
 #include "rt/baselines_rt.h"
 #include "rt/rllsc_rt.h"
@@ -322,31 +325,87 @@ TEST(RtAllocFrames, ProbeCountsOneHandWrittenTaskAsOneFrame) {
   EXPECT_EQ(7u, seen);
 }
 
-// Solo ops by pid 0 on fresh objects at n = 3. Only the Op frame and the
-// cell's looping LL/SC/RL entry points mint frames; Load, Store, VL and the
-// ‖-polls return their primitive's awaitable. Wait-free inc: Op + LL (l. 6)
-// + SC (l. 14) + LL (l. 6) + LL (l. 18) + SC (l. 20) + SC (l. 21) + LL
-// (l. 25) + RL (l. 27) = 9, whichever cell line 8 helps. Combining inc:
-// Op + LL (l. 6) + SC (batch) + RL (l. 27) = 4. Read: Op = 1. With every
-// entry point a Sub coroutine the same ops minted 17, then 18 once the
-// rotated priority adds the line-11 Load, / 14 / 2.
-TEST(RtAllocFrames, SoloUniversalOpsMintOnlyLoopingFrames) {
+// Solo ops by pid 0 on fresh objects at n = 3. Only the Op frame is minted:
+// the cell's LL/SC/RL run RtEnv's eager CAS retry driver (a plain loop) and
+// Load, Store, VL and the ‖-polls return their primitive's awaitable. So a
+// wait-free inc, a combining inc and a read each mint 1, whichever cell
+// line 8 helps.
+TEST(RtAllocFrames, SoloUniversalOpsMintOnlyTheOpFrame) {
   const spec::CounterSpec spec(0xffffff, 0);
   rt::RtUniversal<spec::CounterSpec> wait_free(spec, 3);
   rt::RtUniversal<spec::CounterSpec> combining(spec, 3, true, true);
   // First inc: line 8 finds pid 0's own op; second: pid 1's cell is ⊥.
   for (int round = 0; round < 2; ++round) {
-    EXPECT_EQ(9u, frames_minted([&] {
+    EXPECT_EQ(1u, frames_minted([&] {
                 (void)wait_free.apply(0, spec::CounterSpec::inc());
               }))
         << "round " << round;
   }
-  EXPECT_EQ(4u, frames_minted([&] {
+  EXPECT_EQ(1u, frames_minted([&] {
               (void)combining.apply(0, spec::CounterSpec::inc());
             }));
   EXPECT_EQ(1u, frames_minted([&] {
               (void)wait_free.apply(0, spec::CounterSpec::read());
             }));
+}
+
+// Every CasRllscAlg entry point on the eager backends mints no frame: LL,
+// the interleaved LL (down its bailing path too), SC and RL are the eager
+// driver's plain loop, VL/Load/Store one primitive. FuzzEnv steps the same
+// driver through its fenced primitives.
+template <typename Env>
+void expect_frameless_rllsc() {
+  algo::CasRllscAlg<Env> cell(typename Env::Ctx{}, "X", 5);
+  std::uint64_t value = 0;
+  bool flag = false;
+  EXPECT_EQ(0u, frames_minted([&] { value = cell.ll(0).get(); }));
+  EXPECT_EQ(5u, value);
+  EXPECT_EQ(0u, frames_minted([&] { flag = cell.vl(0).await_resume(); }));
+  EXPECT_TRUE(flag);
+  EXPECT_EQ(0u, frames_minted([&] { flag = cell.sc(0, 6).get(); }));
+  EXPECT_TRUE(flag);
+  std::optional<std::uint64_t> linked;
+  const auto no_bail = [] { return env::detail::ready(false); };
+  EXPECT_EQ(0u, frames_minted([&] {
+              linked = cell.ll_interleaved(1, no_bail).get();
+            }));
+  EXPECT_EQ(std::optional<std::uint64_t>{6}, linked);
+  EXPECT_EQ(0u, frames_minted([&] { flag = cell.rl(1).get(); }));
+  EXPECT_TRUE(flag);
+  EXPECT_EQ(0u, frames_minted([&] { value = cell.load().await_resume(); }));
+  EXPECT_EQ(6u, value);
+  EXPECT_EQ(0u, frames_minted([&] { (void)cell.store(7).await_resume(); }));
+
+  // The bailing path, staged solo: the unlinked_if check between the Read
+  // and the first CAS overwrites the cell, so that CAS fails and the poll
+  // abandons the LL.
+  bool staged = false;
+  const auto overwrite_once = [&](std::uint64_t) {
+    if (!staged) (void)cell.store(8).await_resume();
+    staged = true;
+    return false;
+  };
+  const auto bail = [] { return env::detail::ready(true); };
+  linked = 0;
+  EXPECT_EQ(0u, frames_minted([&] {
+              linked = cell.ll_interleaved(2, bail, overwrite_once).get();
+            }));
+  EXPECT_TRUE(staged);
+  EXPECT_EQ(std::nullopt, linked);
+  EXPECT_EQ(8u, cell.peek_value());
+  EXPECT_EQ(0u, cell.peek_context());
+}
+
+// The plans carry no per-cell state: the object is its one CAS cell.
+static_assert(sizeof(algo::CasRllscAlg<env::RtEnv>) ==
+              sizeof(env::RtEnv::CasCell));
+
+TEST(RtAllocFrames, CasRllscEntryPointsMintNoFrameOnRtEnv) {
+  expect_frameless_rllsc<env::RtEnv>();
+}
+
+TEST(RtAllocFrames, CasRllscEntryPointsMintNoFrameOnFuzzEnv) {
+  expect_frameless_rllsc<env::FuzzEnv>();
 }
 
 // ---- SimEnv exemption: suspending frames are heap-backed BY DESIGN ----

@@ -131,6 +131,31 @@ TEST(RtRllsc, InterleavedLlRetryExpectsTheWordItLastSaw) {
   EXPECT_GT(staged, 0) << "the peer never made the first CAS fail";
 }
 
+TEST(RtRllsc, InterleavedLlReturnsAnUnlinkedWordAFailedCasObserved) {
+  // ll_interleaved's unlinked_if applies to the word a failed CAS observed,
+  // not only to the first Read. Staged solo: at its first call (on the
+  // Read's 5) the predicate overwrites the cell with 99, so the CAS fails
+  // and observes 99; after one poll the predicate, now seeing 99, ends the
+  // LL without a second CAS and without linking.
+  algo::CasRllscAlg<env::RtEnv> cell({}, "X", 5);
+  int checks = 0;
+  const auto stores_then_unlinks_99 = [&](std::uint64_t value) {
+    if (checks++ == 0) (void)cell.store(99).await_resume();
+    return value == 99;
+  };
+  int polls = 0;
+  const auto poll = [&] {
+    ++polls;
+    return env::detail::ready(false);
+  };
+  const std::optional<std::uint64_t> got =
+      cell.ll_interleaved(0, poll, stores_then_unlinks_99).get();
+  EXPECT_EQ(got, std::optional<std::uint64_t>{99});
+  EXPECT_EQ(checks, 2);
+  EXPECT_EQ(polls, 1);
+  EXPECT_EQ(cell.peek_word(), (algo::CtxWord<std::uint64_t>{99, 0}));
+}
+
 TEST(RtUniversal, LockFreedomReport) {
   const CounterSpec spec(1u << 24, 0);
   rt::RtUniversal<CounterSpec> object(spec, 4);
@@ -206,6 +231,44 @@ TEST(RtUniversal, CounterSumsExactlyUnderContention) {
     std::set<std::uint32_t> all;
     for (const auto& r : responses) all.insert(r.begin(), r.end());
     EXPECT_EQ(all.size(), static_cast<std::size_t>(threads) * kOpsEach);
+  }
+}
+
+// The combine-mode twin: each batch's winner stores its own cell to ⊥ and
+// returns without re-reading it, and losers read a combining record without
+// linking it. Every inc must still apply exactly once and answer once, and
+// quiescent memory must carry no announce or context residue.
+TEST(RtUniversal, CounterCombiningSumsExactlyUnderContention) {
+  const CounterSpec spec(1u << 24, 0);
+  for (int threads : {2, 4, 8}) {
+    rt::RtUniversal<CounterSpec> object(spec, threads, /*clear_contexts=*/true,
+                                        /*combine=*/true);
+    constexpr int kOpsEach = 4000;
+    std::vector<std::thread> pool;
+    std::vector<std::vector<std::uint32_t>> responses(threads);
+    for (int pid = 0; pid < threads; ++pid) {
+      pool.emplace_back([&, pid] {
+        responses[pid].reserve(kOpsEach);
+        for (int i = 0; i < kOpsEach; ++i) {
+          responses[pid].push_back(object.apply(pid, CounterSpec::inc()));
+        }
+      });
+    }
+    for (auto& t : pool) t.join();
+
+    EXPECT_EQ(object.head_state_encoded(),
+              static_cast<std::uint64_t>(threads) * kOpsEach)
+        << threads << " threads";
+    std::set<std::uint32_t> all;
+    for (const auto& r : responses) all.insert(r.begin(), r.end());
+    EXPECT_EQ(all.size(), static_cast<std::size_t>(threads) * kOpsEach)
+        << threads << " threads";
+    EXPECT_EQ(object.context_union(), 0u) << threads << " threads";
+    EXPECT_FALSE(object.head_has_response());
+    for (int pid = 0; pid < threads; ++pid) {
+      EXPECT_TRUE(object.announce_is_bottom(pid))
+          << "announce[" << pid << "] at " << threads << " threads";
+    }
   }
 }
 

@@ -11,6 +11,8 @@
 //   * helping: an announced operation completes even if its invoker stalls.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "universal_common.h"
 #include "verify/hi_checker.h"
 #include "verify/linearizability.h"
@@ -348,12 +350,13 @@ TEST(UniversalCombining, WinnerSweepsStalledAnnouncesInOneInstall) {
   EXPECT_EQ(sys.object.head_state_encoded(), 13u);
   EXPECT_EQ(resp2, 12u);
   // Step-exact (CasRllsc backend): announce Store 1 + line-5 Load 1 +
-  // head LL 2 + scan n=3 Loads + combining SC 2 + k=3 response Stores +
-  // head-clearing Store 1 + line-5 re-Load 1 + line-24 Load 1 +
-  // line-27 RL 1 + line-28 Store 1 = 17. Combine mode skips lines 25–26
-  // (head never holds a mode-B record), and the RL is a single read because
-  // the successful SC already reset head's context.
-  EXPECT_EQ(winner_steps, 17u);
+  // head LL 2 + scan n=3 Loads + combining SC 2 + 3 announce Stores (p0's
+  // and p1's responses, and ⊥ into p2's own cell) + head-releasing Store 1
+  // = 13. The winner returns the response it folded: no line-5 re-Load, no
+  // line-24 Load, no line-28 Store (its cell went to ⊥ under the record),
+  // and no line-27 RL, since its SC reset head's context and combine mode
+  // never links an announce cell.
+  EXPECT_EQ(winner_steps, 13u);
 
   // The stalled processes wake, find their responses, and finish promptly
   // without installing anything further.
@@ -378,6 +381,128 @@ TEST(UniversalCombining, WinnerSweepsStalledAnnouncesInOneInstall) {
   EXPECT_TRUE(sys.object.announce_is_bottom(2));
   EXPECT_EQ(sys.object.context_union(), 0u);
   EXPECT_FALSE(sys.object.head_has_response());
+}
+
+TEST(UniversalCombining, WinnerClearsItsOwnCellBeforeReleasingHead) {
+  // The same staging as above, with p2 stopped just before its last step:
+  // the combining record is still in head, p0 and p1 hold their responses,
+  // and p2's own cell already reads ⊥ — the winner never publishes its own
+  // response, and its pending step is the Store that releases head.
+  using S = spec::CounterSpec;
+  UniversalSystem<S, CasRllsc> sys(3, /*clear_contexts=*/true,
+                                   /*combine=*/true);
+  sim::OpTask<S::Resp> stalled0 = sys.object.apply(0, S::inc());
+  sys.sched.start(0, stalled0);
+  sys.sched.step(0);
+  sim::OpTask<S::Resp> stalled1 = sys.object.apply(1, S::inc());
+  sys.sched.start(1, stalled1);
+  sys.sched.step(1);
+
+  sim::OpTask<S::Resp> winner = sys.object.apply(2, S::inc());
+  sys.sched.start(2, winner);
+  for (int step = 0; step < 12; ++step) sys.sched.step(2);
+  ASSERT_TRUE(sys.object.head_is_combining());
+  EXPECT_TRUE(sys.object.announce_is_bottom(2)) << "winner's own cell";
+  EXPECT_FALSE(sys.object.announce_is_bottom(0));
+  EXPECT_FALSE(sys.object.announce_is_bottom(1));
+  EXPECT_EQ(sys.sched.pending_object(2), 0) << "head (object 0)";
+  EXPECT_STREQ(sys.sched.pending_kind(2), "write");
+  EXPECT_EQ(sys.object.context_union(), 0u);
+
+  sys.sched.step(2);  // the release Store, and the operation returns
+  EXPECT_FALSE(sys.object.head_is_combining());
+  ASSERT_TRUE(sys.sched.op_finished(2));
+  sys.sched.finish(2);
+  EXPECT_EQ(winner.take_result(), 12u);
+}
+
+/// Combine mode, step-exact: p1 runs until its combining record is in head,
+/// then p0 announces, does its line-5 Load and runs its line-6 LL against
+/// the parked record, until it is back at line 5 (pending a Read of
+/// announce[0]). Then p1 finishes its phase and both operations complete.
+struct ParkedRecordRun {
+  std::uint64_t ll_steps = 0;    // p0's line-6 LL (with its ‖ poll)
+  std::uint64_t ctx_parked = 0;  // head's context after that LL
+  std::uint64_t ctx_before_release = 0;
+  std::uint64_t ctx_after_release = 0;
+};
+
+template <typename Cell>
+ParkedRecordRun ll_against_parked_record() {
+  using S = spec::CounterSpec;
+  UniversalSystem<S, Cell> sys(2, /*clear_contexts=*/true, /*combine=*/true);
+  ParkedRecordRun run;
+
+  sim::OpTask<S::Resp> winner = sys.object.apply(1, S::inc());
+  sys.sched.start(1, winner);
+  for (int guard = 0; !sys.object.head_is_combining(); ++guard) {
+    EXPECT_LT(guard, 20) << "p1 never installed a combining record";
+    if (guard >= 20) return run;
+    sys.sched.step(1);
+  }
+
+  sim::OpTask<S::Resp> waiter = sys.object.apply(0, S::inc());
+  sys.sched.start(0, waiter);
+  sys.sched.step(0);  // line 4: announce Store
+  sys.sched.step(0);  // line 5: Load, still an op
+  const std::uint64_t before = sys.sched.steps_of(0);
+  // announce[0] is object 1; its Load is "read" on a CAS cell, "Load" on a
+  // native one.
+  const auto back_at_line5 = [&] {
+    const std::string kind = sys.sched.pending_kind(0);
+    return sys.sched.pending_object(0) == 1 &&
+           (kind == "read" || kind == "Load");
+  };
+  do {
+    sys.sched.step(0);
+  } while (!back_at_line5() && sys.sched.steps_of(0) - before < 10);
+  run.ll_steps = sys.sched.steps_of(0) - before;
+  EXPECT_TRUE(sys.object.head_is_combining());
+  run.ctx_parked = sys.object.memory_words()[0].ctx;
+
+  // p1's phase: ⊥ into its own cell, then the release Store.
+  while (sys.object.head_is_combining()) {
+    run.ctx_before_release = sys.object.memory_words()[0].ctx;
+    sys.sched.step(1);
+  }
+  run.ctx_after_release = sys.object.memory_words()[0].ctx;
+  EXPECT_TRUE(sys.sched.op_finished(1));
+  sys.sched.finish(1);
+  EXPECT_EQ(winner.take_result(), 10u);
+
+  for (int guard = 0; !sys.sched.op_finished(0); ++guard) {
+    EXPECT_LT(guard, 40) << "p0 did not finish after the release";
+    if (guard >= 40) return run;
+    sys.sched.step(0);
+  }
+  sys.sched.finish(0);
+  EXPECT_EQ(waiter.take_result(), 11u);
+  EXPECT_EQ(sys.object.context_union(), 0u);
+  EXPECT_TRUE(sys.object.announce_is_bottom(0));
+  EXPECT_TRUE(sys.object.announce_is_bottom(1));
+  return run;
+}
+
+TEST(UniversalCombining, LlReadsAParkedRecordWithoutLinkingIt) {
+  // Algorithm 6's LL reads head first; seeing a combining record it returns
+  // it unlinked: the LL is that one Read, and head's context stays empty.
+  const ParkedRecordRun run = ll_against_parked_record<CasRllsc>();
+  EXPECT_EQ(run.ll_steps, 1u);
+  EXPECT_EQ(run.ctx_parked, 0u);
+  EXPECT_EQ(run.ctx_before_release, 0u);
+  EXPECT_EQ(run.ctx_after_release, 0u);
+}
+
+TEST(UniversalCombining, NativeLlLinksAParkedRecordUntilTheRelease) {
+  // Positive control: the native LL links in its one step with no Read
+  // before it, so it cannot apply the shortcut. The same schedule costs the
+  // ‖ poll plus the LL, and p0's bit rides on the record until the winner's
+  // release Store resets head's context.
+  const ParkedRecordRun run = ll_against_parked_record<NativeRllsc>();
+  EXPECT_EQ(run.ll_steps, 2u);
+  EXPECT_EQ(run.ctx_parked, 1u);
+  EXPECT_EQ(run.ctx_before_release, 1u);
+  EXPECT_EQ(run.ctx_after_release, 0u);
 }
 
 /// Combine mode, step-exact: p0 announces and does its line-5 Load; p1 then
